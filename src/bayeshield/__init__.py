@@ -19,12 +19,10 @@ from .core import (
 from .embed import (
     EmbeddingLayer,
     EmbeddingMap,
-    apply_embedding,
     embed_dataset,
     embed_points,
     identity_map,
     load_embedding,
-    pullback_gradient,
     pullback_gradients,
     save_embedding,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "TruncatedNormalPairSpec",
     "UndefinedPosteriorError",
     "analytic_bayes_error",
-    "apply_embedding",
     "canonical_truncated_normal_pair",
     "default_step_size",
     "embed_dataset",
@@ -92,7 +89,6 @@ __all__ = [
     "objective_and_gradient",
     "pga_maximize",
     "project",
-    "pullback_gradient",
     "pullback_gradients",
     "sample_truncated_normal_pair",
     "save_embedding",

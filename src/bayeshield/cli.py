@@ -26,7 +26,7 @@ from .core import (
     PgaConfig,
     SimilarityKernel,
 )
-from .embed import load_embedding
+from .embed import embed_dataset, load_embedding
 from .estimator import (
     estimate_bayes_error,
     median_heuristic_bandwidth,
@@ -45,9 +45,7 @@ from .synth import (
     sample_truncated_normal_pair,
 )
 
-DATASET_FORMAT_VERSION = 1
-TRACE_FORMAT_VERSION = 1
-DELTAS_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -58,97 +56,138 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USER = 2
 
+# Flags that select the command or the report itself; every other flag
+# is echoed into the report config.
+_NOT_ECHOED = ("command", "handler", "report", "sigma_heuristic")
 
 class CsvFormatError(ValueError):
-    """Malformed dataset or trace file; message carries line context."""
+    """Malformed table file; the message names the file and the line."""
 
 
 # ---------------------------------------------------------------- formats
+#
+# Every table is text: "# key=value" comments, one comma-separated
+# header row, then one row per record. Floats are written with repr,
+# the shortest string that parses back to the same bits, which is what
+# makes round-trips byte-identical.
 
-def _format_float(value: float) -> str:
-    # repr of a Python float is the shortest string that parses back to
-    # the same bits, which is what makes round-trips byte-identical
-    return repr(float(value))
-
-
-def write_dataset_csv(path, data: LabeledDataset) -> None:
-    lines = [f"# version={DATASET_FORMAT_VERSION}", f"# k={data.num_classes}"]
-    lines.append(",".join([f"f{j}" for j in range(data.d)] + ["label"]))
-    for row, label in zip(data.points, data.labels):
-        lines.append(",".join([_format_float(v) for v in row] + [str(int(label))]))
+def _write_table(path, meta: dict, header, rows) -> None:
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(fields) for fields in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_dataset_csv(path) -> LabeledDataset:
-    """Parse the dataset format; errors name the offending line."""
+def _read_table(path, what: str, header: bool = True) -> tuple:
+    """Split a table file into ``(meta, head, rows)``.
+
+    Blank lines are skipped and ``#`` lines are comments; a ``# key=value``
+    comment goes into ``meta`` as ``key: (lineno, value)``, and a
+    ``version`` must be TABLE_FORMAT_VERSION. With ``header``, comments
+    may only precede the header, ``head`` is its ``(lineno, fields)``,
+    every row must have as many fields as the header, and at least one
+    row is required. Rows are ``(lineno, line)``, left unsplit so that a
+    large table is never held as one string per field. Errors name the
+    file and the line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CsvFormatError(f"cannot read dataset {path}: {exc}") from exc
-    declared_k = None
-    header = None
-    header_line = 0
+        raise CsvFormatError(f"cannot read {what} {path}: {exc}") from exc
+    meta = {}
+    head = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if header is not None:
+            if head is not None:
                 raise CsvFormatError(f"{path}:{lineno}: comment after header")
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                key, value = key.strip(), value.strip()
-                if key == "k":
-                    try:
-                        declared_k = int(value)
-                    except ValueError:
-                        raise CsvFormatError(
-                            f"{path}:{lineno}: class count {value!r} is not an integer"
-                        ) from None
-                elif key == "version" and value != str(DATASET_FORMAT_VERSION):
-                    raise CsvFormatError(
-                        f"{path}:{lineno}: unsupported dataset version {value!r}"
-                    )
+            key, sep, value = line[1:].partition("=")
+            key, value = key.strip(), value.strip()
+            if sep:
+                if key == "version" and value != str(TABLE_FORMAT_VERSION):
+                    raise CsvFormatError(f"{path}:{lineno}: unsupported {what} version {value!r}")
+                meta[key] = (lineno, value)
             continue
-        if header is None:
-            header = line.split(",")
-            header_line = lineno
+        if header and head is None:
+            head = (lineno, line.split(","))
             continue
-        rows.append((lineno, line.split(",")))
-    if header is None:
+        if head is not None and line.count(",") != len(head[1]) - 1:
+            raise CsvFormatError(
+                f"{path}:{lineno}: expected {len(head[1])} fields, "
+                f"got {line.count(',') + 1}"
+            )
+        rows.append((lineno, line))
+    if header and head is None:
         raise CsvFormatError(f"{path}: no header row found")
+    if header and not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return meta, head, rows
+
+
+def _floats(path, lineno: int, fields, names) -> list:
+    """One row's fields as floats; an error names the line and column."""
+    try:
+        return [float(v) for v in fields]
+    except ValueError:
+        for name, v in zip(names, fields):
+            try:
+                float(v)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}:{lineno}: column {name}: {v!r} is not a number"
+                ) from None
+        raise
+
+
+def _integer(path, lineno: int, text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise CsvFormatError(f"{path}:{lineno}: {what} {text!r} is not an integer") from None
+    if value < 0:
+        raise CsvFormatError(f"{path}:{lineno}: {what} {value} is negative")
+    if value > np.iinfo(np.int64).max:
+        raise CsvFormatError(f"{path}:{lineno}: {what} {value} does not fit in 64 bits")
+    return value
+
+
+def _columns(d: int) -> list:
+    return [f"f{j}" for j in range(d)]
+
+
+def write_dataset_csv(path, data: LabeledDataset) -> None:
+    _write_table(
+        path,
+        {"version": TABLE_FORMAT_VERSION, "k": data.num_classes},
+        _columns(data.d) + ["label"],
+        (
+            [*map(repr, row.tolist()), str(label)]
+            for row, label in zip(data.points, data.labels.tolist())
+        ),
+    )
+
+
+def read_dataset_csv(path) -> LabeledDataset:
+    """Parse the dataset format; errors name the offending line."""
+    meta, (header_line, header), rows = _read_table(path, "dataset")
     d = len(header) - 1
-    if d < 1 or header != [f"f{j}" for j in range(d)] + ["label"]:
+    if d < 1 or header != _columns(d) + ["label"]:
         raise CsvFormatError(
             f"{path}:{header_line}: header must be f0,..,f{max(d - 1, 0)},label, "
             f"got {','.join(header)!r}"
         )
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
+    declared_k = None
+    if "k" in meta:
+        declared_k = _integer(path, meta["k"][0], meta["k"][1], "class count")
     points = np.empty((len(rows), d))
     labels = np.empty(len(rows), dtype=np.int64)
-    for r, (lineno, fields) in enumerate(rows):
-        if len(fields) != d + 1:
-            raise CsvFormatError(
-                f"{path}:{lineno}: expected {d + 1} fields, got {len(fields)}"
-            )
-        for j, field in enumerate(fields[:-1]):
-            try:
-                points[r, j] = float(field)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: column f{j}: {field!r} is not a number"
-                ) from None
-        try:
-            labels[r] = int(fields[-1])
-        except ValueError:
-            raise CsvFormatError(
-                f"{path}:{lineno}: label {fields[-1]!r} is not an integer"
-            ) from None
-        if labels[r] < 0:
-            raise CsvFormatError(f"{path}:{lineno}: label {labels[r]} is negative")
+    for r, (lineno, line) in enumerate(rows):
+        fields = line.split(",")
+        points[r] = _floats(path, lineno, fields[:-1], header)
+        labels[r] = _integer(path, lineno, fields[-1], "label")
         if declared_k is not None and labels[r] >= declared_k:
             raise CsvFormatError(
                 f"{path}:{lineno}: label {labels[r]} outside declared class "
@@ -162,76 +201,53 @@ def read_dataset_csv(path) -> LabeledDataset:
 
 
 def write_trace_csv(path, trace) -> None:
-    lines = [f"# version={TRACE_FORMAT_VERSION}", "iter,bayes_error"]
-    for i, value in enumerate(np.asarray(trace)):
-        lines.append(f"{i},{_format_float(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        path,
+        {"version": TABLE_FORMAT_VERSION},
+        ["iter", "bayes_error"],
+        ([str(i), repr(v)] for i, v in enumerate(np.asarray(trace, dtype=np.float64).tolist())),
+    )
 
 
 def read_trace_csv(path) -> np.ndarray:
+    _, (header_line, header), rows = _read_table(path, "trace")
+    if header != ["iter", "bayes_error"]:
+        raise CsvFormatError(f"{path}:{header_line}: trace header must be iter,bayes_error")
     values = []
-    expected = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line == "iter,bayes_error":
-            continue
-        fields = line.split(",")
-        if len(fields) != 2 or int(fields[0]) != expected:
-            raise CsvFormatError(f"{path}:{lineno}: malformed trace row {line!r}")
-        values.append(float(fields[1]))
-        expected += 1
-    if not values:
-        raise CsvFormatError(f"{path}: empty trace")
+    for expected, (lineno, line) in enumerate(rows):
+        index, value = line.split(",")
+        if _integer(path, lineno, index, "iteration") != expected:
+            raise CsvFormatError(f"{path}:{lineno}: expected iteration {expected}")
+        values.extend(_floats(path, lineno, [value], header[1:]))
     return np.asarray(values)
 
 
 def write_deltas_csv(path, deltas) -> None:
     arr = np.asarray(deltas, dtype=np.float64)
-    lines = [f"# version={DELTAS_FORMAT_VERSION}"]
-    lines.append(",".join(f"f{j}" for j in range(arr.shape[1])))
-    for row in arr:
-        lines.append(",".join(_format_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        path,
+        {"version": TABLE_FORMAT_VERSION},
+        _columns(arr.shape[1]),
+        (map(repr, row.tolist()) for row in arr),
+    )
 
 
 def read_deltas_csv(path) -> np.ndarray:
-    rows = []
-    d = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if d is None:
-            if fields != [f"f{j}" for j in range(len(fields))]:
-                raise CsvFormatError(f"{path}:{lineno}: malformed deltas header")
-            d = len(fields)
-            continue
-        if len(fields) != d:
-            raise CsvFormatError(f"{path}:{lineno}: expected {d} fields")
-        rows.append([float(v) for v in fields])
-    if d is None or not rows:
-        raise CsvFormatError(f"{path}: empty deltas file")
-    return np.asarray(rows)
+    _, (header_line, header), rows = _read_table(path, "deltas")
+    if header != _columns(len(header)):
+        raise CsvFormatError(
+            f"{path}:{header_line}: deltas header must be f0,..,f{len(header) - 1}"
+        )
+    deltas = np.empty((len(rows), len(header)))
+    for r, (lineno, line) in enumerate(rows):
+        deltas[r] = _floats(path, lineno, line.split(","), header)
+    return deltas
 
 
 def read_frozen_file(path) -> frozenset:
     """Zero-based sample indices, one per line; blanks and # comments skipped."""
-    indices = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = int(line)
-        except ValueError:
-            raise CsvFormatError(
-                f"{path}:{lineno}: frozen index {line!r} is not an integer"
-            ) from None
-        if value < 0:
-            raise CsvFormatError(f"{path}:{lineno}: frozen index {value} is negative")
-        indices.add(value)
-    return frozenset(indices)
+    _, _, rows = _read_table(path, "frozen file", header=False)
+    return frozenset(_integer(path, lineno, line, "frozen index") for lineno, line in rows)
 
 
 def _fingerprint(path) -> str:
@@ -250,15 +266,28 @@ def read_report(path) -> dict:
         return json.load(fh)
 
 
-def _make_report(command, fingerprint, config, results, warnings, elapsed) -> dict:
-    return {
-        "version": REPORT_FORMAT_VERSION,
-        "command": command,
-        "input_fingerprint": fingerprint,
-        "config": config,
-        "results": dict(results, warnings=list(warnings)),
-        "timing_seconds": elapsed,
-    }
+def _run_report(args, source, results: dict, warnings, started: float, **resolved) -> None:
+    """Write the ``--report`` JSON of a run, if one was asked for.
+
+    The config echoes every flag, with the values the run resolved
+    (bandwidth, step size, sizes) added or put in place of the flags'
+    defaults; ``source`` is the file the input fingerprint is taken of.
+    """
+    if not args.report:
+        return
+    config = {key: v for key, v in vars(args).items() if key not in _NOT_ECHOED}
+    config.update(resolved)
+    write_report(
+        args.report,
+        {
+            "version": REPORT_FORMAT_VERSION,
+            "command": args.command,
+            "input_fingerprint": _fingerprint(source),
+            "config": config,
+            "results": dict(results, warnings=list(warnings)),
+            "timing_seconds": time.perf_counter() - started,
+        },
+    )
 
 
 def _derived_path(out, tag: str) -> Path:
@@ -276,32 +305,27 @@ def _resolve_bandwidth(args, data: LabeledDataset, embedding) -> tuple:
         if args.sigma <= 0:
             raise ValueError(f"--sigma must be positive, got {args.sigma}")
         return float(args.sigma), "flag"
-    target = data
-    if embedding is not None:
-        from .embed import embed_dataset
-
-        target = embed_dataset(embedding, data)
+    target = data if embedding is None else embed_dataset(embedding, data)
     return median_heuristic_bandwidth(target), "median-heuristic"
 
 
 def _load_optional_embedding(args):
-    if getattr(args, "embedding", None) is None:
+    if args.embedding is None:
         return None
     return load_embedding(args.embedding)
+
+
+def _dataset_shape(data: LabeledDataset) -> dict:
+    return {"n": data.n, "d": data.d, "k": data.num_classes}
 
 
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
     data = read_dataset_csv(args.dataset)
     embedding = _load_optional_embedding(args)
-    sigma, sigma_source = _resolve_bandwidth(args, data, embedding)
-    kernel = SimilarityKernel(bandwidth=sigma)
-    target = data
-    if embedding is not None:
-        from .embed import embed_dataset
-
-        target = embed_dataset(embedding, data)
-    estimate = estimate_bayes_error(target, kernel, threads=args.threads)
+    target = data if embedding is None else embed_dataset(embedding, data)
+    sigma, sigma_source = _resolve_bandwidth(args, target, None)
+    estimate = estimate_bayes_error(target, SimilarityKernel(bandwidth=sigma), threads=args.threads)
     warnings = []
     if estimate.fallback_rows:
         warnings.append(
@@ -309,46 +333,56 @@ def cmd_estimate(args) -> int:
         )
     print(f"bayes error: {estimate.value:.6f}")
     if args.out:
-        lines = ["# version=1", "index,max_posterior"]
-        lines += [
-            f"{i},{_format_float(v)}"
-            for i, v in enumerate(estimate.per_sample_max_posterior)
-        ]
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(
+            args.out,
+            {"version": TABLE_FORMAT_VERSION},
+            ["index", "max_posterior"],
+            (
+                [str(i), repr(v)]
+                for i, v in enumerate(estimate.per_sample_max_posterior.tolist())
+            ),
+        )
         print(f"per-sample max posteriors written to {args.out}")
     else:
         for value in estimate.per_sample_max_posterior:
             print(f"{value:.6f}")
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
-    if args.report:
-        config = {
-            "dataset": str(args.dataset),
-            "sigma": sigma,
-            "sigma_source": sigma_source,
-            "embedding": str(args.embedding) if args.embedding else None,
-            "threads": args.threads,
-            "out": str(args.out) if args.out else None,
-            "n": data.n,
-            "d": data.d,
-            "k": data.num_classes,
-        }
-        results = {
+    _run_report(
+        args,
+        args.dataset,
+        {
             "bayes_error": estimate.value,
-            "per_sample_max_posterior": [float(v) for v in estimate.per_sample_max_posterior],
-        }
-        write_report(
-            args.report,
-            _make_report(
-                "estimate",
-                _fingerprint(args.dataset),
-                config,
-                results,
-                warnings,
-                time.perf_counter() - started,
-            ),
-        )
+            "per_sample_max_posterior": estimate.per_sample_max_posterior.tolist(),
+        },
+        warnings,
+        started,
+        sigma=sigma,
+        sigma_source=sigma_source,
+        **_dataset_shape(data),
+    )
     return EXIT_OK
+
+
+def _write_pga_outputs(result, out, deltas_path, trace_path, note: str = "") -> dict:
+    """Write the perturbed dataset, its deltas and its trace; print the
+    estimate before and after, the lift and the run's warnings. Returns
+    the report results."""
+    write_dataset_csv(out, result.perturbed)
+    write_deltas_csv(deltas_path, result.deltas)
+    write_trace_csv(trace_path, result.trace)
+    before = float(result.trace[0])
+    after = float(result.trace[-1])
+    print(f"bayes error before: {before:.6f}")
+    print(f"bayes error after:  {after:.6f}")
+    print(f"lift: {after / before:.4f}{note}" if before > 0 else "lift: undefined")
+    for message in result.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return {
+        "bayes_error_before": before,
+        "bayes_error_after": after,
+        "trace": result.trace.tolist(),
+    }
 
 
 def cmd_perturb(args) -> int:
@@ -370,56 +404,25 @@ def cmd_perturb(args) -> int:
     result = pga_maximize(
         data, kernel, constraint, config, embedding=embedding, threads=args.threads
     )
-    before = float(result.trace[0])
-    after = float(result.trace[-1])
-    write_dataset_csv(args.out, result.perturbed)
     deltas_path = _derived_path(args.out, "deltas")
     trace_path = _derived_path(args.out, "trace")
-    write_deltas_csv(deltas_path, result.deltas)
-    write_trace_csv(trace_path, result.trace)
-    print(f"bayes error before: {before:.6f}")
-    print(f"bayes error after:  {after:.6f}")
-    print(f"lift: {after / before:.4f}" if before > 0 else "lift: undefined")
+    results = _write_pga_outputs(result, args.out, deltas_path, trace_path)
     print(f"perturbed dataset written to {args.out}")
     print(f"deltas written to {deltas_path}")
     print(f"trace written to {trace_path}")
-    for message in result.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    if args.report:
-        echo = {
-            "dataset": str(args.dataset),
-            "sigma": sigma,
-            "sigma_source": sigma_source,
-            "eps": constraint.radius,
-            "norm": constraint.norm_order,
-            "eta": float(eta),
-            "eta_source": "flag" if args.eta is not None else "default",
-            "iters": int(args.iters),
-            "frozen": str(args.frozen) if args.frozen else None,
-            "frozen_count": len(frozen),
-            "embedding": str(args.embedding) if args.embedding else None,
-            "threads": args.threads,
-            "out": str(args.out),
-            "n": data.n,
-            "d": data.d,
-            "k": data.num_classes,
-        }
-        results = {
-            "bayes_error_before": before,
-            "bayes_error_after": after,
-            "trace": [float(v) for v in result.trace],
-        }
-        write_report(
-            args.report,
-            _make_report(
-                "perturb",
-                _fingerprint(args.dataset),
-                echo,
-                results,
-                result.warnings,
-                time.perf_counter() - started,
-            ),
-        )
+    _run_report(
+        args,
+        args.dataset,
+        results,
+        result.warnings,
+        started,
+        sigma=sigma,
+        sigma_source=sigma_source,
+        eta=float(eta),
+        eta_source="flag" if args.eta is not None else "default",
+        frozen_count=len(frozen),
+        **_dataset_shape(data),
+    )
     return EXIT_OK
 
 
@@ -446,35 +449,21 @@ def cmd_gradcheck(args) -> int:
     print(f"max relative error: {max_rel:.3e}")
     passed = max_rel <= GRADCHECK_THRESHOLD
     print("gradient check passed" if passed else "gradient check FAILED")
-    if args.report:
-        echo = {
-            "dataset": str(args.dataset),
-            "sigma": sigma,
-            "sigma_source": sigma_source,
-            "h": float(args.h),
-            "embedding": str(args.embedding) if args.embedding else None,
-            "threads": args.threads,
-            "n": data.n,
-            "d": data.d,
-            "k": data.num_classes,
-        }
-        results = {
+    _run_report(
+        args,
+        args.dataset,
+        {
             "max_relative_error": max_rel,
             "threshold": GRADCHECK_THRESHOLD,
             "tied_rows": list(report.tied_rows),
             "passed": passed,
-        }
-        write_report(
-            args.report,
-            _make_report(
-                "gradcheck",
-                _fingerprint(args.dataset),
-                echo,
-                results,
-                (),
-                time.perf_counter() - started,
-            ),
-        )
+        },
+        (),
+        started,
+        sigma=sigma,
+        sigma_source=sigma_source,
+        **_dataset_shape(data),
+    )
     return EXIT_OK if passed else EXIT_INTERNAL
 
 
@@ -482,32 +471,21 @@ def cmd_gen(args) -> int:
     started = time.perf_counter()
     if args.generator == "moons":
         data = generate_moons(args.n, args.noise, args.seed)
-        params = {"generator": "moons", "n": args.n, "noise": args.noise, "seed": args.seed}
     else:
         data = sample_truncated_normal_pair(
             canonical_truncated_normal_pair(), args.n, args.seed
         )
-        params = {"generator": "truncnorm", "n": args.n, "seed": args.seed}
+        del args.noise  # the truncated normals take no jitter; keep it out of the echo
     write_dataset_csv(args.out, data)
     print(f"{args.generator} dataset with n={data.n} written to {args.out}")
-    if args.report:
-        write_report(
-            args.report,
-            _make_report(
-                "gen",
-                _fingerprint(args.out),
-                dict(params, out=str(args.out)),
-                {"n": data.n, "d": data.d, "k": data.num_classes},
-                (),
-                time.perf_counter() - started,
-            ),
-        )
+    _run_report(args, args.out, _dataset_shape(data), (), started)
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    args.report = Path(args.report or outdir / f"{args.name}_report.json")
     if args.name == "truncnorm":
         return _demo_truncnorm(args, outdir)
     return _demo_moons(args, outdir)
@@ -528,33 +506,22 @@ def _demo_truncnorm(args, outdir: Path) -> int:
     print(f"sample estimate (n={n}): {estimate.value:.6f}  (sigma={sigma:.6f}, median heuristic)")
     print(f"absolute difference:       {diff:.6f}")
     print(f"sample written to {sample_path}")
-    report_path = Path(args.report) if args.report else outdir / "truncnorm_report.json"
-    config = {
-        "name": "truncnorm",
-        "n": n,
-        "seed": args.seed,
-        "sigma": sigma,
-        "sigma_source": "median-heuristic",
-        "threads": args.threads,
-        "out": str(outdir),
-    }
-    results = {
-        "analytic_bayes_error": analytic,
-        "sample_estimate": estimate.value,
-        "absolute_difference": diff,
-    }
-    write_report(
-        report_path,
-        _make_report(
-            "demo",
-            _fingerprint(sample_path),
-            config,
-            results,
-            (),
-            time.perf_counter() - started,
-        ),
+    _run_report(
+        args,
+        sample_path,
+        {
+            "analytic_bayes_error": analytic,
+            "sample_estimate": estimate.value,
+            "absolute_difference": diff,
+        },
+        (),
+        started,
+        n=n,
+        sigma=sigma,
+        sigma_source="median-heuristic",
+        out=str(outdir),
     )
-    print(f"report written to {report_path}")
+    print(f"report written to {args.report}")
     return EXIT_OK
 
 
@@ -568,56 +535,28 @@ def _demo_moons(args, outdir: Path) -> int:
     constraint = PerturbationConstraint(norm_order="l2", radius=eps)
     config = PgaConfig(step_size=eta, max_iterations=iters)
     result = pga_maximize(data, kernel, constraint, config, threads=args.threads)
-    before = float(result.trace[0])
-    after = float(result.trace[-1])
-    before_path = outdir / "moons_before.csv"
-    after_path = outdir / "moons_after.csv"
-    deltas_path = outdir / "moons_deltas.csv"
-    trace_path = outdir / "moons_trace.csv"
-    write_dataset_csv(before_path, data)
-    write_dataset_csv(after_path, result.perturbed)
-    write_deltas_csv(deltas_path, result.deltas)
-    write_trace_csv(trace_path, result.trace)
-    print(f"bayes error before: {before:.6f}")
-    print(f"bayes error after:  {after:.6f}")
-    print(f"lift: {after / before:.4f}  (budget eps={eps}, l2)")
-    for path in (before_path, after_path, deltas_path, trace_path):
+    paths = [outdir / f"moons_{tag}.csv" for tag in ("before", "after", "deltas", "trace")]
+    write_dataset_csv(paths[0], data)
+    results = _write_pga_outputs(result, *paths[1:], note=f"  (budget eps={eps}, l2)")
+    for path in paths:
         print(f"wrote {path}")
-    for message in result.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    report_path = Path(args.report) if args.report else outdir / "moons_report.json"
-    config_echo = {
-        "name": "moons",
-        "n": n,
-        "noise": noise,
-        "seed": args.seed,
-        "sigma": sigma,
-        "sigma_source": "moons-calibrated",
-        "eps": eps,
-        "norm": "l2",
-        "eta": eta,
-        "iters": iters,
-        "threads": args.threads,
-        "out": str(outdir),
-    }
-    results = {
-        "bayes_error_before": before,
-        "bayes_error_after": after,
-        "lift": after / before,
-        "trace": [float(v) for v in result.trace],
-    }
-    write_report(
-        report_path,
-        _make_report(
-            "demo",
-            _fingerprint(before_path),
-            config_echo,
-            results,
-            result.warnings,
-            time.perf_counter() - started,
-        ),
+    _run_report(
+        args,
+        paths[0],
+        dict(results, lift=results["bayes_error_after"] / results["bayes_error_before"]),
+        result.warnings,
+        started,
+        n=n,
+        noise=noise,
+        sigma=sigma,
+        sigma_source="moons-calibrated",
+        eps=eps,
+        norm="l2",
+        eta=eta,
+        iters=iters,
+        out=str(outdir),
     )
-    print(f"report written to {report_path}")
+    print(f"report written to {args.report}")
     return EXIT_OK
 
 
@@ -633,8 +572,21 @@ def _add_kernel_flags(sub) -> None:
     )
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_flags(sub) -> None:
-    sub.add_argument("--threads", type=int, default=1, help="estimator worker threads")
+    sub.add_argument(
+        "--threads", type=_thread_count, default=1,
+        help="worker threads for the pairwise passes (at least 1)",
+    )
     sub.add_argument("--report", default=None, help="write a JSON run report here")
 
 
@@ -686,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.1, help="moons jitter std")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="dataset CSV path")
-    _add_common_flags(gen)
+    gen.add_argument("--report", default=None, help="write a JSON run report here")
     gen.set_defaults(handler=cmd_gen)
 
     demo = subs.add_parser("demo", help="run a canonical end-to-end example")

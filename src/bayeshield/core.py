@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_ORDERS = ("l2", "linf")
-KERNEL_KINDS = ("gaussian",)
-TIE_BREAKS = ("lowest_class_index",)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -86,19 +84,15 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SimilarityKernel:
-    """Pairwise similarity. Only the Gaussian kind is implemented.
+    """Gaussian pairwise similarity of bandwidth sigma.
 
-    The Gaussian kind evaluates exp(-||a - b||^2 / (2 sigma^2)), which is
-    symmetric in its arguments, bounded in (0, 1], and equals 1 exactly
-    when a = b.
+    It evaluates exp(-||a - b||^2 / (2 sigma^2)), which is symmetric in
+    its arguments, bounded in (0, 1], and equals 1 exactly when a = b.
     """
 
     bandwidth: float
-    kind: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         bw = float(self.bandwidth)
         if not np.isfinite(bw) or bw <= 0:
             raise ValueError(f"bandwidth must be a positive finite real, got {bw}")
@@ -184,14 +178,10 @@ class PgaConfig:
     ``step_size`` is the ascent step eta, ``max_iterations`` the number
     of gradient steps T. ``monotone_slack`` is the per-step decrease
     tolerated before the loop warns that the step size is too large.
-    When ``record_trace`` is off, only the first and last objective
-    values are kept.
     """
 
     step_size: float
     max_iterations: int
-    tie_break: str = "lowest_class_index"
-    record_trace: bool = True
     monotone_slack: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -201,8 +191,6 @@ class PgaConfig:
         iters = int(self.max_iterations)
         if iters < 0:
             raise ValueError(f"max_iterations must be >= 0, got {iters}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
         slack = float(self.monotone_slack)
         if not np.isfinite(slack) or slack < 0:
             raise ValueError(f"monotone_slack must be >= 0, got {slack}")

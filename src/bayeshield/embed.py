@@ -125,16 +125,6 @@ def embed_points(mapping: EmbeddingMap, points) -> np.ndarray:
     return _forward(mapping, pts)[-1]
 
 
-def apply_embedding(mapping: EmbeddingMap, x) -> np.ndarray:
-    """Forward-evaluate the map on a single input vector."""
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    if xv.shape != (mapping.input_dim,):
-        raise ValueError(
-            f"input shape {xv.shape} does not match input_dim {mapping.input_dim}"
-        )
-    return embed_points(mapping, xv[None, :])[0]
-
-
 def embed_dataset(mapping: EmbeddingMap, data: LabeledDataset) -> LabeledDataset:
     """Map every point; labels and class count carry over."""
     if data.d != mapping.input_dim:
@@ -167,17 +157,6 @@ def pullback_gradients(mapping: EmbeddingMap, points, grads_emb) -> np.ndarray:
         cur = cur * _activation_derivative(post, layer.activation)
         cur = cur @ layer.weight
     return cur
-
-
-def pullback_gradient(mapping: EmbeddingMap, x, g_emb) -> np.ndarray:
-    """Single-vector form of :func:`pullback_gradients`."""
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    gv = np.asarray(g_emb, dtype=np.float64).ravel()
-    if gv.shape != (mapping.output_dim,):
-        raise ValueError(
-            f"gradient shape {gv.shape} does not match output_dim {mapping.output_dim}"
-        )
-    return pullback_gradients(mapping, xv[None, :], gv[None, :])[0]
 
 
 def save_embedding(mapping: EmbeddingMap, path) -> None:
@@ -226,7 +205,10 @@ def load_embedding(path) -> EmbeddingMap:
             raise ValueError(
                 f"embedding file {path}: layer {idx} missing {sorted(missing)}"
             )
-        layers.append(
-            EmbeddingLayer(entry["weight"], entry["bias"], entry["activation"])
-        )
+        try:
+            layers.append(
+                EmbeddingLayer(entry["weight"], entry["bias"], entry["activation"])
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"embedding file {path}: layer {idx}: {exc}") from exc
     return EmbeddingMap(tuple(layers))

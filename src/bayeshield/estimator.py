@@ -79,6 +79,18 @@ def _row_spans(n: int, d: int) -> list:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
+def _run_row_spans(fill, n: int, d: int, threads: int) -> None:
+    """Call ``fill((lo, hi))`` on every row span of an n-row pass over
+    d-wide rows, on ``threads`` workers when that splits the work."""
+    spans = _row_spans(n, d)
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            list(pool.map(fill, spans))
+    else:
+        for span in spans:
+            fill(span)
+
+
 def _similarity_matrix(points: np.ndarray, bandwidth: float, threads: int = 1) -> np.ndarray:
     """Dense n x n Gaussian similarity matrix.
 
@@ -95,14 +107,32 @@ def _similarity_matrix(points: np.ndarray, bandwidth: float, threads: int = 1) -
         sq = (diff * diff).sum(axis=2)
         np.exp(-sq / scale, out=out[lo:hi])
 
-    spans = _row_spans(n, d)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+    _run_row_spans(fill, n, d, threads)
     return out
+
+
+def _posterior_pass(
+    coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float, threads: int
+) -> tuple:
+    """Leave-one-out posteriors of ``coords`` and the sums behind them.
+
+    Returns ``(sims, den, ok, posteriors)``: the similarity matrix with
+    a zero diagonal, each row's similarity mass, the mask of rows whose
+    mass is positive, and the (n, k) posteriors, uniform where the mass
+    underflowed. The estimator and the gradient both read this one pass,
+    so the objective of the gradient is bit-equal to the estimate.
+    """
+    n = coords.shape[0]
+    sims = _similarity_matrix(coords, bandwidth, threads)
+    np.fill_diagonal(sims, 0.0)
+    num = np.empty((n, k))
+    for c in range(k):
+        num[:, c] = (sims * (labels == c)).sum(axis=1)
+    den = num.sum(axis=1)
+    ok = den > 0.0
+    posteriors = np.full((n, k), 1.0 / k)
+    posteriors[ok] = num[ok] / den[ok, None]
+    return sims, den, ok, posteriors
 
 
 def estimate_posteriors(
@@ -123,17 +153,9 @@ def estimate_posteriors(
         Worker threads for the similarity pass. Output does not depend
         on this value.
     """
-    n = data.n
-    k = data.num_classes
-    sims = _similarity_matrix(data.points, kernel.bandwidth, threads)
-    np.fill_diagonal(sims, 0.0)
-    num = np.empty((n, k))
-    for c in range(k):
-        num[:, c] = (sims * (data.labels == c)).sum(axis=1)
-    den = num.sum(axis=1)
-    ok = den > 0.0
-    values = np.full((n, k), 1.0 / k)
-    values[ok] = num[ok] / den[ok, None]
+    _, _, ok, values = _posterior_pass(
+        data.points, data.labels, data.num_classes, kernel.bandwidth, threads
+    )
     fallback = tuple(int(i) for i in np.flatnonzero(~ok))
     return PosteriorMatrix(values, fallback_rows=fallback)
 

@@ -11,7 +11,6 @@ of clean and perturbed data.
 from __future__ import annotations
 
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +21,9 @@ from .core import (
     PgaConfig,
     PgaResult,
     SimilarityKernel,
-    TIE_BREAKS,
 )
 from .embed import EmbeddingMap, embed_dataset, embed_points, pullback_gradients
-from .estimator import (
-    _row_spans,
-    _similarity_matrix,
-    estimate_bayes_error,
-)
+from .estimator import _posterior_pass, _run_row_spans, estimate_bayes_error
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -105,27 +99,20 @@ def _weighted_rowsum(weights: np.ndarray, vectors: np.ndarray, threads: int = 1)
         lo, hi = span
         out[lo:hi] = (weights[lo:hi, :, None] * vectors[None, :, :]).sum(axis=1)
 
-    spans = _row_spans(n, d)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+    _run_row_spans(fill, n, d, threads)
     return out
 
 
 def objective_and_gradient(
     data: LabeledDataset,
     kernel: SimilarityKernel,
-    tie_break: str = "lowest_class_index",
     embedding: EmbeddingMap | None = None,
     threads: int = 1,
 ) -> GradientReport:
     """Bayes error estimate and its analytic gradient in one pass.
 
-    Each row's argmax class c*_i is fixed first (ties broken per
-    ``tie_break``), making the objective locally an average of plain
+    Each row's argmax class c*_i is fixed first (ties go to the lowest
+    class index), making the objective locally an average of plain
     posterior entries. The gradient with respect to a point x_m then
     collects two roles of that point: it is the query center of its own
     row and a voting neighbor in every other row. With the Gaussian
@@ -143,10 +130,7 @@ def objective_and_gradient(
     in the embedding space and the gradient is pulled back to the input
     space, while ``objective`` is the estimate of the embedded sample.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
     n = data.n
-    k = data.num_classes
     if embedding is not None:
         if embedding.input_dim != data.d:
             raise ValueError(
@@ -157,15 +141,9 @@ def objective_and_gradient(
         coords = data.points
     sigma = kernel.bandwidth
 
-    sims = _similarity_matrix(coords, sigma, threads)
-    np.fill_diagonal(sims, 0.0)
-    num = np.empty((n, k))
-    for c in range(k):
-        num[:, c] = (sims * (data.labels == c)).sum(axis=1)
-    den = num.sum(axis=1)
-    ok = den > 0.0
-    posteriors = np.full((n, k), 1.0 / k)
-    posteriors[ok] = num[ok] / den[ok, None]
+    sims, den, ok, posteriors = _posterior_pass(
+        coords, data.labels, data.num_classes, sigma, threads
+    )
 
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
@@ -174,7 +152,7 @@ def objective_and_gradient(
     objective = float(1.0 - pstar.mean())
     tied = np.flatnonzero(
         (posteriors == pstar[:, None]).sum(axis=1) > 1
-    ) if k > 1 else np.empty(0, dtype=np.int64)
+    ) if data.num_classes > 1 else np.empty(0, dtype=np.int64)
 
     selected = (data.labels[None, :] == cstar[:, None]).astype(np.float64)
     coeff = np.zeros((n, n))
@@ -223,17 +201,6 @@ def project(delta, constraint: PerturbationConstraint) -> np.ndarray:
     return _project_rows(dv[None, :], constraint)[0]
 
 
-def _estimate_value(
-    data: LabeledDataset,
-    kernel: SimilarityKernel,
-    embedding: EmbeddingMap | None,
-    threads: int,
-):
-    if embedding is None:
-        return estimate_bayes_error(data, kernel, threads)
-    return estimate_bayes_error(embed_dataset(embedding, data), kernel, threads)
-
-
 def pga_maximize(
     data: LabeledDataset,
     kernel: SimilarityKernel,
@@ -241,7 +208,6 @@ def pga_maximize(
     config: PgaConfig,
     embedding: EmbeddingMap | None = None,
     threads: int = 1,
-    iteration_hook=None,
 ) -> PgaResult:
     """Projected gradient ascent on the Bayes error estimate.
 
@@ -258,10 +224,6 @@ def pga_maximize(
     ``config.monotone_slack`` in any step, a StepSizeWarning is issued
     and recorded in the result; ascent is only guaranteed for step
     sizes below 2/kappa, with kappa the kernel's upper bound.
-
-    ``iteration_hook``, when given, is called after each projection as
-    ``hook(iteration, deltas, objective)``; it exists so tests can
-    observe per-iteration feasibility without re-running the loop.
     """
     n = data.n
     if any(i >= n for i in constraint.frozen):
@@ -279,13 +241,9 @@ def pga_maximize(
     run_warnings = []
     fallback_seen = False
 
-    for step in range(config.max_iterations):
+    for _ in range(config.max_iterations):
         report = objective_and_gradient(
-            data.with_points(data.points + deltas),
-            kernel,
-            config.tie_break,
-            embedding,
-            threads,
+            data.with_points(data.points + deltas), kernel, embedding, threads
         )
         trace.append(report.objective)
         fallback_seen = fallback_seen or bool(report.fallback_rows)
@@ -293,12 +251,14 @@ def pga_maximize(
         if frozen_rows.size:
             grads[frozen_rows] = 0.0
         deltas = _project_rows(deltas + config.step_size * grads, constraint)
-        if iteration_hook is not None:
-            iteration_hook(step, deltas.copy(), report.objective)
 
     final_points = data.points + deltas
     perturbed = data.with_points(final_points)
-    final = _estimate_value(perturbed, kernel, embedding, threads)
+    final = estimate_bayes_error(
+        perturbed if embedding is None else embed_dataset(embedding, perturbed),
+        kernel,
+        threads,
+    )
     trace.append(final.value)
     fallback_seen = fallback_seen or bool(final.fallback_rows)
 
@@ -317,9 +277,6 @@ def pga_maximize(
         run_warnings.append(
             "some posterior rows had zero similarity mass and fell back to uniform"
         )
-
-    if not config.record_trace and trace_arr.size > 2:
-        trace_arr = np.array([trace_arr[0], trace_arr[-1]])
 
     return PgaResult(
         perturbed=perturbed,

@@ -87,9 +87,7 @@ def _moons_lift(norm, eps, seed):
     data = generate_moons(200, 0.1, seed)
     kernel = SimilarityKernel(bandwidth=MOONS_BANDWIDTH)
     constraint = PerturbationConstraint(norm_order=norm, radius=eps)
-    config = PgaConfig(
-        step_size=default_step_size(200, eps), max_iterations=100, record_trace=False
-    )
+    config = PgaConfig(step_size=default_step_size(200, eps), max_iterations=100)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepSizeWarning)
         result = pga_maximize(data, kernel, constraint, config)

@@ -111,6 +111,39 @@ def test_estimate_malformed_file_exits_2(tmp_path, capsys):
     assert "label 7" in capsys.readouterr().err
 
 
+def test_estimate_label_too_large_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("f0,label\n0.0,0\n1.0,99999999999999999999\n")
+    with pytest.raises(CsvFormatError, match=r"huge\.csv:3: label"):
+        read_dataset_csv(path)
+    code = main(["estimate", str(path), "--sigma", "1.0"])
+    assert code == 2
+    assert "huge.csv:3" in capsys.readouterr().err
+
+
+def test_estimate_embedding_weight_not_a_matrix_exits_2(tmp_path, capsys):
+    path = three_point_file(tmp_path)
+    embedding = tmp_path / "emb.json"
+    layer = {"weight": {"a": 1}, "bias": [0.0], "activation": "identity"}
+    embedding.write_text(json.dumps({"version": 1, "layers": [layer]}))
+    code = main(["estimate", str(path), "--sigma", "1.0", "--embedding", str(embedding)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "emb.json" in err and "layer 0" in err
+
+
+def test_threads_below_one_exits_2(tmp_path, capsys):
+    path = three_point_file(tmp_path)
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(path), "--sigma", "1.0", "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "moons", "--out", str(tmp_path / "m.csv"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_estimate_rejects_nonpositive_sigma(tmp_path, capsys):
     path = three_point_file(tmp_path)
     code = main(["estimate", str(path), "--sigma", "-1"])

@@ -60,14 +60,11 @@ def test_with_points_keeps_labels_and_classes():
 
 
 def test_kernel_validation():
-    k = SimilarityKernel(bandwidth=2.0)
-    assert k.kind == "gaussian"
+    assert SimilarityKernel(bandwidth=2.0).bandwidth == 2.0
     with pytest.raises(ValueError, match="bandwidth"):
         SimilarityKernel(bandwidth=0.0)
     with pytest.raises(ValueError, match="bandwidth"):
         SimilarityKernel(bandwidth=-1.0)
-    with pytest.raises(ValueError, match="kind"):
-        SimilarityKernel(bandwidth=1.0, kind="laplace")
 
 
 def test_constraint_validation():
@@ -95,14 +92,11 @@ def test_posterior_matrix_validation():
 
 def test_pga_config_validation():
     cfg = PgaConfig(step_size=0.5, max_iterations=0)
-    assert cfg.record_trace
     assert cfg.monotone_slack == 1e-9
     with pytest.raises(ValueError, match="step_size"):
         PgaConfig(step_size=0.0, max_iterations=5)
     with pytest.raises(ValueError, match="max_iterations"):
         PgaConfig(step_size=0.1, max_iterations=-1)
-    with pytest.raises(ValueError, match="tie_break"):
-        PgaConfig(step_size=0.1, max_iterations=5, tie_break="random")
 
 
 def test_pga_result_validation():

@@ -17,7 +17,6 @@ from bayeshield.embed import (
     embed_points,
     identity_map,
     load_embedding,
-    pullback_gradient,
     pullback_gradients,
     save_embedding,
 )
@@ -135,17 +134,17 @@ def test_pullback_identity():
 def test_pullback_affine_is_w_transpose():
     m = affine_map()
     g = np.array([0.5, -2.0])
-    got = pullback_gradient(m, np.array([0.1, 0.2]), g)
-    np.testing.assert_allclose(got, [2.0 * 0.5, 3.0 * -2.0], atol=1e-15)
+    got = pullback_gradients(m, np.array([[0.1, 0.2]]), g[None, :])
+    np.testing.assert_allclose(got, [[2.0 * 0.5, 3.0 * -2.0]], atol=1e-15)
 
 
 def test_pullback_linear_in_gradient():
     m = tanh_map(seed=2)
-    x = np.array([0.3, 0.9])
-    g1 = np.array([1.0, 0.0])
-    g2 = np.array([0.0, 1.0])
-    combined = pullback_gradient(m, x, 2.0 * g1 + 3.0 * g2)
-    parts = 2.0 * pullback_gradient(m, x, g1) + 3.0 * pullback_gradient(m, x, g2)
+    x = np.array([[0.3, 0.9]])
+    g1 = np.array([[1.0, 0.0]])
+    g2 = np.array([[0.0, 1.0]])
+    combined = pullback_gradients(m, x, 2.0 * g1 + 3.0 * g2)
+    parts = 2.0 * pullback_gradients(m, x, g1) + 3.0 * pullback_gradients(m, x, g2)
     np.testing.assert_allclose(combined, parts, atol=1e-12)
 
 
@@ -154,7 +153,7 @@ def test_pullback_matches_finite_differences():
     rng = np.random.default_rng(4)
     x = rng.normal(size=2) * 0.5
     g = rng.normal(size=2)
-    analytic = pullback_gradient(m, x, g)
+    analytic = pullback_gradients(m, x[None, :], g[None, :])[0]
     h = 1e-6
     fd = np.empty(2)
     for k in range(2):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
 from bayeshield.estimator import (
     UndefinedPosteriorError,
@@ -161,17 +162,20 @@ def test_rigid_motion_invariance():
     assert abs(estimate_bayes_error(moved, kernel).value - base) <= 1e-9
 
 
-def test_threads_do_not_change_bits():
+def test_threads_do_not_change_bits(monkeypatch):
     rng = np.random.default_rng(10)
     ds = random_dataset(rng, n=150, d=3, k=3)
     kernel = SimilarityKernel(bandwidth=0.7)
-    single = estimate_posteriors(ds, kernel, threads=1)
-    multi = estimate_posteriors(ds, kernel, threads=4)
-    np.testing.assert_array_equal(single.values, multi.values)
-    assert (
-        estimate_bayes_error(ds, kernel, threads=1).value
-        == estimate_bayes_error(ds, kernel, threads=3).value
-    )
+    reference = estimate_posteriors(ds, kernel).values
+    value = estimate_bayes_error(ds, kernel).value
+    # 30-row spans end in a short one; 1-row spans are the finest split
+    for chunk in (ds.n * ds.d * 30, 1):
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+        assert len(estimator._row_spans(ds.n, ds.d)) >= 3
+        for threads in (1, 2):
+            got = estimate_posteriors(ds, kernel, threads=threads)
+            np.testing.assert_array_equal(got.values, reference)
+            assert estimate_bayes_error(ds, kernel, threads=threads).value == value
 
 
 def test_naive_posterior_matches():

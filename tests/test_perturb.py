@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
+from bayeshield import estimator
 from bayeshield.core import (
     LabeledDataset,
     PerturbationConstraint,
     PgaConfig,
     SimilarityKernel,
 )
-from bayeshield.estimator import estimate_bayes_error
+from bayeshield.embed import EmbeddingLayer, EmbeddingMap, embed_dataset
+from bayeshield.estimator import estimate_bayes_error, estimate_posteriors
 from bayeshield.perturb import (
     StepSizeWarning,
     default_step_size,
@@ -31,6 +33,20 @@ def random_dataset(seed, n=10, d=2, k=2):
     return LabeledDataset(rng.normal(size=(n, d)), rng.integers(0, k, n), k)
 
 
+def tanh_embedding(d, width=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return EmbeddingMap((
+        EmbeddingLayer(rng.normal(size=(width, d)), rng.normal(size=width) * 0.1, "tanh"),
+        EmbeddingLayer(rng.normal(size=(width, width)), rng.normal(size=width) * 0.1, "tanh"),
+    ))
+
+
+def row_splits(n, d):
+    """_CHUNK_ELEMENTS values that split an (n, d) pass into at least 3
+    row spans: 30-row spans ending in a short one, and 1-row spans."""
+    return (n * d * 30, 1)
+
+
 def test_default_step_size():
     assert default_step_size(200, 0.25) == pytest.approx(0.0036 * 200 * 0.25)
     with pytest.raises(ValueError, match="at least 2"):
@@ -46,10 +62,20 @@ def test_gradient_single_class_is_zero():
     np.testing.assert_array_equal(report.gradients, np.zeros((3, 2)))
 
 
-def test_gradient_objective_equals_estimate():
-    ds = random_dataset(3, n=15, d=3, k=3)
-    report = objective_and_gradient(ds, K1)
-    assert report.objective == estimate_bayes_error(ds, K1).value
+@pytest.mark.parametrize(
+    "k, embedded",
+    [(2, False), (3, False), (2, True), (3, True)],
+    ids=["k2", "k3", "k2-embedded", "k3-embedded"],
+)
+def test_gradient_objective_equals_estimate(k, embedded):
+    ds = random_dataset(3, n=15, d=3, k=k)
+    embedding = tanh_embedding(3) if embedded else None
+    report = objective_and_gradient(ds, K1, embedding=embedding)
+    target = ds if embedding is None else embed_dataset(embedding, ds)
+    assert report.objective == estimate_bayes_error(target, K1).value
+    np.testing.assert_array_equal(
+        report.argmax_classes, estimate_posteriors(target, K1).values.argmax(1)
+    )
 
 
 def test_gradient_matches_finite_differences_three_point():
@@ -77,12 +103,18 @@ def test_gradient_reports_exact_ties():
     assert 2 in report.tied_rows
 
 
-def test_gradient_threads_bitwise_identical():
+def test_gradient_threads_bitwise_identical(monkeypatch):
     ds = random_dataset(6, n=120, d=3, k=3)
-    single = objective_and_gradient(ds, K1, threads=1)
-    multi = objective_and_gradient(ds, K1, threads=4)
-    assert single.objective == multi.objective
-    np.testing.assert_array_equal(single.gradients, multi.gradients)
+    embeddings = (None, tanh_embedding(3))
+    references = [objective_and_gradient(ds, K1, embedding=e) for e in embeddings]
+    for chunk in row_splits(ds.n, ds.d):
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+        assert len(estimator._row_spans(ds.n, ds.d)) >= 3
+        for embedding, reference in zip(embeddings, references):
+            for threads in (1, 2):
+                got = objective_and_gradient(ds, K1, embedding=embedding, threads=threads)
+                assert got.objective == reference.objective
+                np.testing.assert_array_equal(got.gradients, reference.gradients)
 
 
 def test_project_linf_inside_unchanged():
@@ -174,16 +206,14 @@ def test_pga_frozen_rows_untouched():
 def test_pga_iterates_stay_feasible():
     ds = random_dataset(5, n=10, d=3)
     c = PerturbationConstraint(norm_order="linf", radius=0.2)
-    config = PgaConfig(step_size=0.5, max_iterations=6)
-    seen = []
-
-    def hook(iteration, deltas, value):
-        seen.append((iteration, np.abs(deltas).max()))
-
-    result = pga_maximize(ds, K1, c, config, iteration_hook=hook)
-    assert len(seen) == 6
-    assert max(m for _, m in seen) <= 0.2 + 1e-12
-    assert np.abs(result.deltas).max() <= 0.2 + 1e-12
+    # PGA is deterministic, so a t-step run returns the t-th iterate
+    runs = [
+        pga_maximize(ds, K1, c, PgaConfig(step_size=0.5, max_iterations=t))
+        for t in range(1, 7)
+    ]
+    for t, result in enumerate(runs, start=1):
+        np.testing.assert_array_equal(result.trace[:t], runs[-1].trace[:t])
+        assert np.abs(result.deltas).max() <= 0.2 + 1e-12
 
 
 def test_pga_huge_step_warns():
@@ -196,19 +226,6 @@ def test_pga_huge_step_warns():
     assert "step" in result.warnings[0]
 
 
-def test_pga_record_trace_off():
-    ds = random_dataset(8, n=10, d=2)
-    c = PerturbationConstraint(norm_order="l2", radius=0.3)
-    full = pga_maximize(ds, K1, c, PgaConfig(step_size=0.02, max_iterations=7))
-    short = pga_maximize(
-        ds, K1, c, PgaConfig(step_size=0.02, max_iterations=7, record_trace=False)
-    )
-    assert len(short.trace) == 2
-    assert short.trace[0] == full.trace[0]
-    assert short.trace[-1] == full.trace[-1]
-    np.testing.assert_array_equal(short.perturbed.points, full.perturbed.points)
-
-
 def test_pga_deterministic_rerun():
     ds = random_dataset(9, n=16, d=3, k=3)
     c = PerturbationConstraint(norm_order="linf", radius=0.25)
@@ -219,14 +236,19 @@ def test_pga_deterministic_rerun():
     np.testing.assert_array_equal(a.trace, b.trace)
 
 
-def test_pga_threads_bitwise_identical():
+def test_pga_threads_bitwise_identical(monkeypatch):
     ds = random_dataset(10, n=80, d=2)
     c = PerturbationConstraint(norm_order="l2", radius=0.3)
-    config = PgaConfig(step_size=0.05, max_iterations=5)
-    a = pga_maximize(ds, K1, c, config, threads=1)
-    b = pga_maximize(ds, K1, c, config, threads=4)
-    np.testing.assert_array_equal(a.perturbed.points, b.perturbed.points)
-    np.testing.assert_array_equal(a.trace, b.trace)
+    config = PgaConfig(step_size=0.05, max_iterations=3)
+    reference = pga_maximize(ds, K1, c, config)
+    for chunk in row_splits(ds.n, ds.d):
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+        assert len(estimator._row_spans(ds.n, ds.d)) >= 3
+        for threads in (1, 2):
+            got = pga_maximize(ds, K1, c, config, threads=threads)
+            np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
+            np.testing.assert_array_equal(got.deltas, reference.deltas)
+            np.testing.assert_array_equal(got.trace, reference.trace)
 
 
 def test_pga_rejects_all_frozen():
