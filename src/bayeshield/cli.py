@@ -193,7 +193,11 @@ def read_dataset_csv(path) -> LabeledDataset:
                 f"{path}:{lineno}: label {labels[r]} outside declared class "
                 f"count k={declared_k}"
             )
-    k = declared_k if declared_k is not None else int(labels.max()) + 1
+    top = int(labels.argmax())
+    k, k_line = (declared_k, meta["k"][0]) if "k" in meta else (int(labels[top]) + 1, rows[top][0])
+    # classes may go unused, but the estimator's (n, k) tables must stay O(n)
+    if k > 2 * len(rows):
+        raise CsvFormatError(f"{path}:{k_line}: class count {k} is over twice the {len(rows)} rows")
     try:
         return LabeledDataset(points, labels, k)
     except ValueError as exc:

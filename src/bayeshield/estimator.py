@@ -14,14 +14,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel
 
-# Target element count per row chunk of the n x n similarity pass.
-# Caps transient memory; chunk boundaries never change the per-row
-# arithmetic, so results are identical for any chunk or thread count.
-_CHUNK_ELEMENTS = 4_000_000
+# Target element count per row span of the streamed n x n pairwise pass,
+# which holds O(n * span) memory. Span boundaries never change the per-row
+# arithmetic, so results are identical for any span or thread count.
+_CHUNK_ELEMENTS = 65_536
 
 
 class UndefinedPosteriorError(ValueError):
@@ -74,15 +74,15 @@ def gaussian_similarity(a, b, bandwidth: float) -> float:
     return float(np.exp(-(diff * diff).sum() / (2.0 * bw * bw)))
 
 
-def _row_spans(n: int, d: int) -> list:
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * d))
+def _row_spans(n: int) -> list:
+    chunk = max(1, _CHUNK_ELEMENTS // n)
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _run_row_spans(fill, n: int, d: int, threads: int) -> None:
-    """Call ``fill((lo, hi))`` on every row span of an n-row pass over
-    d-wide rows, on ``threads`` workers when that splits the work."""
-    spans = _row_spans(n, d)
+def _run_row_spans(fill, n: int, threads: int) -> None:
+    """Call ``fill((lo, hi))`` on every row span of an n-row pairwise
+    pass, on ``threads`` workers when that splits the work."""
+    spans = _row_spans(n)
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             list(pool.map(fill, spans))
@@ -91,24 +91,18 @@ def _run_row_spans(fill, n: int, d: int, threads: int) -> None:
             fill(span)
 
 
-def _similarity_matrix(points: np.ndarray, bandwidth: float, threads: int = 1) -> np.ndarray:
-    """Dense n x n Gaussian similarity matrix.
+def _similarity_rows(points: np.ndarray, lo: int, hi: int, bandwidth: float) -> np.ndarray:
+    """Rows lo:hi of the Gaussian similarity matrix, with zero diagonal.
 
-    Computed row-block by row-block with a fixed per-row reduction
-    order, so the result is bit-identical for any thread count.
+    ``cdist`` sums each squared distance over the coordinates in a fixed
+    order, so a row's values do not depend on the span it is computed in.
     """
-    n, d = points.shape
-    out = np.empty((n, n))
-    scale = 2.0 * bandwidth * bandwidth
-
-    def fill(span) -> None:
-        lo, hi = span
-        diff = points[lo:hi, None, :] - points[None, :, :]
-        sq = (diff * diff).sum(axis=2)
-        np.exp(-sq / scale, out=out[lo:hi])
-
-    _run_row_spans(fill, n, d, threads)
-    return out
+    block = cdist(points[lo:hi], points, "sqeuclidean")
+    np.negative(block, out=block)
+    block /= 2.0 * bandwidth * bandwidth
+    np.exp(block, out=block)
+    block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+    return block
 
 
 def _posterior_pass(
@@ -116,23 +110,28 @@ def _posterior_pass(
 ) -> tuple:
     """Leave-one-out posteriors of ``coords`` and the sums behind them.
 
-    Returns ``(sims, den, ok, posteriors)``: the similarity matrix with
-    a zero diagonal, each row's similarity mass, the mask of rows whose
-    mass is positive, and the (n, k) posteriors, uniform where the mass
-    underflowed. The estimator and the gradient both read this one pass,
-    so the objective of the gradient is bit-equal to the estimate.
+    Returns ``(den, ok, posteriors)``: each row's similarity mass, the
+    mask of rows whose mass is positive, and the (n, k) posteriors,
+    uniform where the mass underflowed. The estimator and the gradient
+    both read this one streamed pass, so the objective of the gradient
+    is bit-equal to the estimate.
     """
     n = coords.shape[0]
-    sims = _similarity_matrix(coords, bandwidth, threads)
-    np.fill_diagonal(sims, 0.0)
     num = np.empty((n, k))
-    for c in range(k):
-        num[:, c] = (sims * (labels == c)).sum(axis=1)
+    masks = [labels == c for c in range(k)]
+
+    def fill(span) -> None:
+        lo, hi = span
+        sims = _similarity_rows(coords, lo, hi, bandwidth)
+        for c, mask in enumerate(masks):
+            num[lo:hi, c] = (sims * mask).sum(axis=1)
+
+    _run_row_spans(fill, n, threads)
     den = num.sum(axis=1)
     ok = den > 0.0
     posteriors = np.full((n, k), 1.0 / k)
     posteriors[ok] = num[ok] / den[ok, None]
-    return sims, den, ok, posteriors
+    return den, ok, posteriors
 
 
 def estimate_posteriors(
@@ -153,7 +152,7 @@ def estimate_posteriors(
         Worker threads for the similarity pass. Output does not depend
         on this value.
     """
-    _, _, ok, values = _posterior_pass(
+    _, ok, values = _posterior_pass(
         data.points, data.labels, data.num_classes, kernel.bandwidth, threads
     )
     fallback = tuple(int(i) for i in np.flatnonzero(~ok))

@@ -23,7 +23,7 @@ from .core import (
     SimilarityKernel,
 )
 from .embed import EmbeddingMap, embed_dataset, embed_points, pullback_gradients
-from .estimator import _posterior_pass, _run_row_spans, estimate_bayes_error
+from .estimator import _posterior_pass, _run_row_spans, _similarity_rows, estimate_bayes_error
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -89,27 +89,13 @@ def default_step_size(n: int, radius: float) -> float:
     return STEP_SCALE * n * radius
 
 
-def _weighted_rowsum(weights: np.ndarray, vectors: np.ndarray, threads: int = 1) -> np.ndarray:
-    """out[m] = sum_j weights[m, j] * vectors[j], fixed reduction order."""
-    n = weights.shape[0]
-    d = vectors.shape[1]
-    out = np.empty((n, d))
-
-    def fill(span) -> None:
-        lo, hi = span
-        out[lo:hi] = (weights[lo:hi, :, None] * vectors[None, :, :]).sum(axis=1)
-
-    _run_row_spans(fill, n, d, threads)
-    return out
-
-
 def objective_and_gradient(
     data: LabeledDataset,
     kernel: SimilarityKernel,
     embedding: EmbeddingMap | None = None,
     threads: int = 1,
 ) -> GradientReport:
-    """Bayes error estimate and its analytic gradient in one pass.
+    """Bayes error estimate and its analytic gradient, streamed in row spans.
 
     Each row's argmax class c*_i is fixed first (ties go to the lowest
     class index), making the objective locally an average of plain
@@ -141,26 +127,37 @@ def objective_and_gradient(
         coords = data.points
     sigma = kernel.bandwidth
 
-    sims, den, ok, posteriors = _posterior_pass(
+    den, ok, posteriors = _posterior_pass(
         coords, data.labels, data.num_classes, sigma, threads
     )
 
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
-    rows = np.arange(n)
-    pstar = posteriors[rows, cstar]
+    pstar = posteriors[np.arange(n), cstar]
     objective = float(1.0 - pstar.mean())
     tied = np.flatnonzero(
         (posteriors == pstar[:, None]).sum(axis=1) > 1
     ) if data.num_classes > 1 else np.empty(0, dtype=np.int64)
 
-    selected = (data.labels[None, :] == cstar[:, None]).astype(np.float64)
-    coeff = np.zeros((n, n))
-    coeff[ok] = (selected[ok] - pstar[ok, None]) / den[ok, None]
-    weights = (coeff + coeff.T) * sims / (sigma * sigma)
-    np.fill_diagonal(weights, 0.0)
-    wsum = weights.sum(axis=1)
-    mixed = _weighted_rowsum(weights, coords, threads)
+    # C[i, j] = table[i, y_j], so W streams from this (n, K) table
+    table = np.zeros((n, data.num_classes))
+    selected = np.arange(data.num_classes) == cstar[ok, None]
+    table[ok] = (selected - pstar[ok, None]) / den[ok, None]
+    table_by_class = np.ascontiguousarray(table.T)
+    wsum = np.empty(n)
+    mixed = np.empty_like(coords)
+
+    def fill(span) -> None:
+        lo, hi = span
+        weights = table[lo:hi].take(data.labels, axis=1)
+        weights += table_by_class[data.labels[lo:hi]]
+        weights *= _similarity_rows(coords, lo, hi, sigma)
+        weights /= sigma * sigma
+        weights[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        wsum[lo:hi] = weights.sum(axis=1)
+        mixed[lo:hi] = np.einsum("ij,jk->ik", weights, coords)
+
+    _run_row_spans(fill, n, threads)
     grads_emb = (wsum[:, None] * coords - mixed) / n
 
     if embedding is not None:

@@ -121,6 +121,26 @@ def test_estimate_label_too_large_exits_2(tmp_path, capsys):
     assert "huge.csv:3" in capsys.readouterr().err
 
 
+def test_estimate_inferred_class_count_above_rows_exits_2(tmp_path, capsys):
+    path = tmp_path / "sparse.csv"
+    path.write_text("f0,label\n0.0,0\n1.0,1\n2.0,1000000000000000\n")
+    with pytest.raises(CsvFormatError, match=r"sparse\.csv:4: class count 1000000000000001 is over"):
+        read_dataset_csv(path)
+    code = main(["estimate", str(path), "--sigma", "1.0"])
+    assert code == 2
+    assert "sparse.csv:4" in capsys.readouterr().err
+
+
+def test_estimate_declared_class_count_above_rows_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("# version=1\n# k=7\nf0,label\n0.0,0\n1.0,1\n2.0,1\n")
+    with pytest.raises(CsvFormatError, match=r"wide\.csv:2: class count 7"):
+        read_dataset_csv(path)
+    code = main(["estimate", str(path), "--sigma", "1.0"])
+    assert code == 2
+    assert "wide.csv:2" in capsys.readouterr().err
+
+
 def test_estimate_embedding_weight_not_a_matrix_exits_2(tmp_path, capsys):
     path = three_point_file(tmp_path)
     embedding = tmp_path / "emb.json"

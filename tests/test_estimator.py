@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,18 +165,36 @@ def test_rigid_motion_invariance():
 
 def test_threads_do_not_change_bits(monkeypatch):
     rng = np.random.default_rng(10)
-    ds = random_dataset(rng, n=150, d=3, k=3)
     kernel = SimilarityKernel(bandwidth=0.7)
-    reference = estimate_posteriors(ds, kernel).values
-    value = estimate_bayes_error(ds, kernel).value
+    # at d=9 cdist's sequential sum differs from numpy's 8-wide one
+    cases = [random_dataset(rng, n=150, d=d, k=3) for d in (3, 9)]
+    references = [
+        (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
+        for ds in cases
+    ]
     # 30-row spans end in a short one; 1-row spans are the finest split
-    for chunk in (ds.n * ds.d * 30, 1):
+    for chunk in (150 * 30, 1):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(ds.n, ds.d)) >= 3
-        for threads in (1, 2):
-            got = estimate_posteriors(ds, kernel, threads=threads)
-            np.testing.assert_array_equal(got.values, reference)
-            assert estimate_bayes_error(ds, kernel, threads=threads).value == value
+        assert len(estimator._row_spans(150)) >= 3
+        for ds, (reference, value) in zip(cases, references):
+            for threads in (1, 2):
+                got = estimate_posteriors(ds, kernel, threads=threads)
+                np.testing.assert_array_equal(got.values, reference)
+                assert estimate_bayes_error(ds, kernel, threads=threads).value == value
+
+
+def test_posteriors_memory_is_linear():
+    rng = np.random.default_rng(12)
+    n = 3000
+    ds = random_dataset(rng, n=n, d=2, k=3)
+    tracemalloc.start()
+    try:
+        estimate_posteriors(ds, K1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense n x n float64 array would be n * n * 8 bytes
+    assert peak < n * n * 8 / 4
 
 
 def test_naive_posterior_matches():

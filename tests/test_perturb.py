@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,10 +42,34 @@ def tanh_embedding(d, width=4, seed=0):
     ))
 
 
-def row_splits(n, d):
-    """_CHUNK_ELEMENTS values that split an (n, d) pass into at least 3
+def row_splits(n):
+    """_CHUNK_ELEMENTS values that split an n-row pass into at least 3
     row spans: 30-row spans ending in a short one, and 1-row spans."""
-    return (n * d * 30, 1)
+    return (n * 30, 1)
+
+
+def dense_gradient(ds, sigma):
+    """Objective and gradient from the dense n x n weight matrix
+    W = (C + C^T) * S / sigma^2 of the objective_and_gradient docstring,
+    in the operation order of the streamed pass."""
+    n, k, x, y = ds.n, ds.num_classes, ds.points, ds.labels
+    diff = x[:, None, :] - x[None, :, :]
+    sims = np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
+    np.fill_diagonal(sims, 0.0)
+    num = np.stack([(sims * (y == c)).sum(axis=1) for c in range(k)], axis=1)
+    den = num.sum(axis=1)
+    ok = den > 0.0
+    posteriors = np.full((n, k), 1.0 / k)
+    posteriors[ok] = num[ok] / den[ok, None]
+    cstar = posteriors.argmax(axis=1)
+    pstar = posteriors[np.arange(n), cstar]
+    selected = (y[None, :] == cstar[:, None]).astype(np.float64)
+    coeff = np.zeros((n, n))
+    coeff[ok] = (selected[ok] - pstar[ok, None]) / den[ok, None]
+    weights = (coeff + coeff.T) * sims / (sigma * sigma)
+    np.fill_diagonal(weights, 0.0)
+    mixed = (weights[:, :, None] * x[None, :, :]).sum(axis=1)
+    return 1.0 - pstar.mean(), (weights.sum(axis=1)[:, None] * x - mixed) / n
 
 
 def test_default_step_size():
@@ -104,17 +129,51 @@ def test_gradient_reports_exact_ties():
 
 
 def test_gradient_threads_bitwise_identical(monkeypatch):
-    ds = random_dataset(6, n=120, d=3, k=3)
-    embeddings = (None, tanh_embedding(3))
-    references = [objective_and_gradient(ds, K1, embedding=e) for e in embeddings]
-    for chunk in row_splits(ds.n, ds.d):
+    # at d=9 cdist's sequential sum differs from numpy's 8-wide one
+    cases = [(random_dataset(6, n=120, d=d, k=3), tanh_embedding(d)) for d in (3, 9)]
+    references = [
+        [objective_and_gradient(ds, K1, embedding=e) for e in (None, embedding)]
+        for ds, embedding in cases
+    ]
+    for chunk in row_splits(120):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(ds.n, ds.d)) >= 3
-        for embedding, reference in zip(embeddings, references):
-            for threads in (1, 2):
-                got = objective_and_gradient(ds, K1, embedding=embedding, threads=threads)
-                assert got.objective == reference.objective
-                np.testing.assert_array_equal(got.gradients, reference.gradients)
+        assert len(estimator._row_spans(120)) >= 3
+        for (ds, embedding), refs in zip(cases, references):
+            for e, reference in zip((None, embedding), refs):
+                for threads in (1, 2):
+                    got = objective_and_gradient(ds, K1, embedding=e, threads=threads)
+                    assert got.objective == reference.objective
+                    np.testing.assert_array_equal(got.gradients, reference.gradients)
+
+
+def test_gradient_matches_dense_oracle(monkeypatch):
+    ds = random_dataset(13, n=40, d=2, k=3)
+    # one row so far away that its similarity mass underflows to zero
+    far = ds.points.copy()
+    far[17] = [1e3, -1e3]
+    ds = ds.with_points(far)
+    objective, gradients = dense_gradient(ds, 1.0)
+    for chunk in (None,) + row_splits(ds.n):
+        if chunk is not None:
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+        report = objective_and_gradient(ds, K1)
+        assert report.fallback_rows == (17,)
+        assert report.objective == objective
+        np.testing.assert_array_equal(report.gradients, gradients)
+    np.testing.assert_array_equal(gradients[17], [0.0, 0.0])
+
+
+def test_gradient_memory_is_linear():
+    n = 3000
+    ds = random_dataset(14, n=n, d=2, k=3)
+    tracemalloc.start()
+    try:
+        objective_and_gradient(ds, K1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense n x n float64 array would be n * n * 8 bytes
+    assert peak < n * n * 8 / 4
 
 
 def test_project_linf_inside_unchanged():
@@ -241,9 +300,9 @@ def test_pga_threads_bitwise_identical(monkeypatch):
     c = PerturbationConstraint(norm_order="l2", radius=0.3)
     config = PgaConfig(step_size=0.05, max_iterations=3)
     reference = pga_maximize(ds, K1, c, config)
-    for chunk in row_splits(ds.n, ds.d):
+    for chunk in row_splits(ds.n):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(ds.n, ds.d)) >= 3
+        assert len(estimator._row_spans(ds.n)) >= 3
         for threads in (1, 2):
             got = pga_maximize(ds, K1, c, config, threads=threads)
             np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
