@@ -45,7 +45,11 @@ n, eps = 200, 0.25
 data = generate_moons(n, noise=0.1, seed=0)
 kernel = SimilarityKernel(bandwidth=0.3)
 constraint = PerturbationConstraint(norm_order="l2", radius=eps)
-config = PgaConfig(step_size=default_step_size(n, eps), max_iterations=100)
+# The default step is calibrated on raw moons, not on this map. Through
+# the map, the full default step lowers the estimate at 23 of the 100
+# steps, and half or a quarter of it still does at 20 and 15 steps.
+# An eighth is the largest halving that rises at every step.
+config = PgaConfig(step_size=default_step_size(n, eps) / 8, max_iterations=100)
 
 result = pga_maximize(data, kernel, constraint, config, embedding=mapping)
 before, after = result.trace[0], result.trace[-1]
@@ -54,6 +58,8 @@ print("Two moons pushed through a fixed 2-8-2 tanh map.")
 print(f"Estimate in embedding space before: {before:.4f}")
 print(f"Estimate in embedding space after:  {after:.4f}")
 print(f"Lift: {after / before:.3f}x")
+print("The step is an eighth of the raw-space default: larger steps")
+print("overshoot through the map and lower the estimate at some steps.")
 print()
 
 norms = np.sqrt((result.deltas**2).sum(axis=1))

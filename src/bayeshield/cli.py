@@ -15,6 +15,7 @@ import json
 import sys
 import time
 import traceback
+import warnings as _warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ from .estimator import (
     median_heuristic_bandwidth,
 )
 from .perturb import (
+    DEFAULT_ITERATIONS,
+    StepSizeWarning,
     default_step_size,
     objective_and_gradient,
     pga_maximize,
@@ -50,15 +53,13 @@ REPORT_FORMAT_VERSION = 1
 
 GRADCHECK_THRESHOLD = 1e-4
 
-DEFAULT_DEMO_ITERS = 100
-
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USER = 2
 
-# Flags that select the command or the report itself; every other flag
-# is echoed into the report config.
-_NOT_ECHOED = ("command", "handler", "report", "sigma_heuristic")
+# Flags that select the command or the report itself, and the run's start
+# time; every other flag is echoed into the report config.
+_NOT_ECHOED = ("command", "handler", "report", "started")
 
 class CsvFormatError(ValueError):
     """Malformed table file; the message names the file and the line."""
@@ -142,6 +143,16 @@ def _floats(path, lineno: int, fields, names) -> list:
         raise
 
 
+def _check_finite(path, rows, values: np.ndarray, names) -> None:
+    """Name the line and column of the first non-finite parsed value."""
+    if not np.isfinite(values).all():
+        r, j = np.argwhere(~np.isfinite(values))[0]
+        raise CsvFormatError(
+            f"{path}:{rows[r][0]}: column {names[j]}: "
+            f"{rows[r][1].split(',')[j]!r} is not finite"
+        )
+
+
 def _integer(path, lineno: int, text: str, what: str) -> int:
     try:
         value = int(text)
@@ -193,6 +204,7 @@ def read_dataset_csv(path) -> LabeledDataset:
                 f"{path}:{lineno}: label {labels[r]} outside declared class "
                 f"count k={declared_k}"
             )
+    _check_finite(path, rows, points, header)
     top = int(labels.argmax())
     k, k_line = (declared_k, meta["k"][0]) if "k" in meta else (int(labels[top]) + 1, rows[top][0])
     # classes may go unused, but the estimator's (n, k) tables must stay O(n)
@@ -245,6 +257,7 @@ def read_deltas_csv(path) -> np.ndarray:
     deltas = np.empty((len(rows), len(header)))
     for r, (lineno, line) in enumerate(rows):
         deltas[r] = _floats(path, lineno, line.split(","), header)
+    _check_finite(path, rows, deltas, header)
     return deltas
 
 
@@ -270,7 +283,7 @@ def read_report(path) -> dict:
         return json.load(fh)
 
 
-def _run_report(args, source, results: dict, warnings, started: float, **resolved) -> None:
+def _run_report(args, source, results: dict, warnings, **resolved) -> None:
     """Write the ``--report`` JSON of a run, if one was asked for.
 
     The config echoes every flag, with the values the run resolved
@@ -289,7 +302,7 @@ def _run_report(args, source, results: dict, warnings, started: float, **resolve
             "input_fingerprint": _fingerprint(source),
             "config": config,
             "results": dict(results, warnings=list(warnings)),
-            "timing_seconds": time.perf_counter() - started,
+            "timing_seconds": time.perf_counter() - args.started,
         },
     )
 
@@ -313,20 +326,13 @@ def _resolve_bandwidth(args, data: LabeledDataset, embedding) -> tuple:
     return median_heuristic_bandwidth(target), "median-heuristic"
 
 
-def _load_optional_embedding(args):
-    if args.embedding is None:
-        return None
-    return load_embedding(args.embedding)
-
-
 def _dataset_shape(data: LabeledDataset) -> dict:
     return {"n": data.n, "d": data.d, "k": data.num_classes}
 
 
 def cmd_estimate(args) -> int:
-    started = time.perf_counter()
     data = read_dataset_csv(args.dataset)
-    embedding = _load_optional_embedding(args)
+    embedding = None if args.embedding is None else load_embedding(args.embedding)
     target = data if embedding is None else embed_dataset(embedding, data)
     sigma, sigma_source = _resolve_bandwidth(args, target, None)
     estimate = estimate_bayes_error(target, SimilarityKernel(bandwidth=sigma), threads=args.threads)
@@ -360,7 +366,6 @@ def cmd_estimate(args) -> int:
             "per_sample_max_posterior": estimate.per_sample_max_posterior.tolist(),
         },
         warnings,
-        started,
         sigma=sigma,
         sigma_source=sigma_source,
         **_dataset_shape(data),
@@ -390,14 +395,9 @@ def _write_pga_outputs(result, out, deltas_path, trace_path, note: str = "") -> 
 
 
 def cmd_perturb(args) -> int:
-    started = time.perf_counter()
     data = read_dataset_csv(args.dataset)
-    embedding = _load_optional_embedding(args)
+    embedding = None if args.embedding is None else load_embedding(args.embedding)
     frozen = read_frozen_file(args.frozen) if args.frozen else frozenset()
-    if frozen and len(frozen) >= data.n:
-        raise ValueError(
-            f"frozen file covers all {data.n} samples; nothing to perturb"
-        )
     sigma, sigma_source = _resolve_bandwidth(args, data, embedding)
     kernel = SimilarityKernel(bandwidth=sigma)
     constraint = PerturbationConstraint(
@@ -419,7 +419,6 @@ def cmd_perturb(args) -> int:
         args.dataset,
         results,
         result.warnings,
-        started,
         sigma=sigma,
         sigma_source=sigma_source,
         eta=float(eta),
@@ -431,9 +430,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    started = time.perf_counter()
     data = read_dataset_csv(args.dataset)
-    embedding = _load_optional_embedding(args)
+    embedding = None if args.embedding is None else load_embedding(args.embedding)
     sigma, sigma_source = _resolve_bandwidth(args, data, embedding)
     kernel = SimilarityKernel(bandwidth=sigma)
     report = objective_and_gradient(data, kernel, embedding=embedding, threads=args.threads)
@@ -463,7 +461,6 @@ def cmd_gradcheck(args) -> int:
             "passed": passed,
         },
         (),
-        started,
         sigma=sigma,
         sigma_source=sigma_source,
         **_dataset_shape(data),
@@ -472,7 +469,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    started = time.perf_counter()
     if args.generator == "moons":
         data = generate_moons(args.n, args.noise, args.seed)
     else:
@@ -482,7 +478,7 @@ def cmd_gen(args) -> int:
         del args.noise  # the truncated normals take no jitter; keep it out of the echo
     write_dataset_csv(args.out, data)
     print(f"{args.generator} dataset with n={data.n} written to {args.out}")
-    _run_report(args, args.out, _dataset_shape(data), (), started)
+    _run_report(args, args.out, _dataset_shape(data), ())
     return EXIT_OK
 
 
@@ -496,7 +492,6 @@ def cmd_demo(args) -> int:
 
 
 def _demo_truncnorm(args, outdir: Path) -> int:
-    started = time.perf_counter()
     spec = canonical_truncated_normal_pair()
     analytic = analytic_bayes_error(spec)
     n = 2000
@@ -519,7 +514,6 @@ def _demo_truncnorm(args, outdir: Path) -> int:
             "absolute_difference": diff,
         },
         (),
-        started,
         n=n,
         sigma=sigma,
         sigma_source="median-heuristic",
@@ -530,8 +524,7 @@ def _demo_truncnorm(args, outdir: Path) -> int:
 
 
 def _demo_moons(args, outdir: Path) -> int:
-    started = time.perf_counter()
-    n, noise, eps, iters = 200, 0.1, 0.25, DEFAULT_DEMO_ITERS
+    n, noise, eps, iters = 200, 0.1, 0.25, DEFAULT_ITERATIONS
     data = generate_moons(n, noise, args.seed)
     sigma = MOONS_BANDWIDTH
     kernel = SimilarityKernel(bandwidth=sigma)
@@ -549,7 +542,6 @@ def _demo_moons(args, outdir: Path) -> int:
         paths[0],
         dict(results, lift=results["bayes_error_after"] / results["bayes_error_before"]),
         result.warnings,
-        started,
         n=n,
         noise=noise,
         sigma=sigma,
@@ -567,12 +559,9 @@ def _demo_moons(args, outdir: Path) -> int:
 # ------------------------------------------------------------------ parser
 
 def _add_kernel_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
-    group.add_argument(
-        "--sigma-heuristic",
-        action="store_true",
-        help="use the median pairwise distance (the default when --sigma is absent)",
+    sub.add_argument(
+        "--sigma", type=float, default=None,
+        help="kernel bandwidth (default: the median pairwise distance)",
     )
 
 
@@ -620,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", type=float, default=None,
         help="ascent step size (default: 0.0036 * n * eps)",
     )
-    per.add_argument("--iters", type=int, default=100, help="gradient steps")
+    per.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS, help="gradient steps")
     per.add_argument("--frozen", default=None, help="file of indices pinned to zero")
     per.add_argument("--embedding", default=None, help="embedding map JSON file")
     _add_kernel_flags(per)
@@ -660,8 +649,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen" and args.n is None:
         args.n = 200 if args.generator == "moons" else 2000
+    args.started = time.perf_counter()
     try:
-        return args.handler(args)
+        # a run prints its own warnings, so the library's copies are not shown
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", StepSizeWarning)
+            return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER

@@ -40,8 +40,8 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        points = np.array(self.points, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        points = _frozen_array(self.points, np.float64)
+        labels = _frozen_array(self.labels, np.int64)
         if points.ndim != 2:
             raise ValueError(f"points must be a 2-d array, got shape {points.shape}")
         n, d = points.shape
@@ -63,8 +63,6 @@ class LabeledDataset:
             raise ValueError(
                 f"label {labels[bad]} at row {bad} outside [0, {k})"
             )
-        points.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "num_classes", k)
@@ -140,7 +138,7 @@ class PosteriorMatrix:
     fallback_rows: tuple = ()
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = _frozen_array(self.values, np.float64)
         if values.ndim != 2:
             raise ValueError(f"posterior values must be 2-d, got shape {values.shape}")
         if values.shape[1] < 1:
@@ -158,7 +156,6 @@ class PosteriorMatrix:
         fallback = tuple(int(i) for i in self.fallback_rows)
         if any(i < 0 or i >= values.shape[0] for i in fallback):
             raise ValueError("fallback_rows outside row range")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "fallback_rows", fallback)
 
@@ -176,13 +173,11 @@ class PgaConfig:
     """Settings for the projected gradient ascent loop.
 
     ``step_size`` is the ascent step eta, ``max_iterations`` the number
-    of gradient steps T. ``monotone_slack`` is the per-step decrease
-    tolerated before the loop warns that the step size is too large.
+    of gradient steps T.
     """
 
     step_size: float
     max_iterations: int
-    monotone_slack: float = 1e-9
 
     def __post_init__(self) -> None:
         step = float(self.step_size)
@@ -191,12 +186,8 @@ class PgaConfig:
         iters = int(self.max_iterations)
         if iters < 0:
             raise ValueError(f"max_iterations must be >= 0, got {iters}")
-        slack = float(self.monotone_slack)
-        if not np.isfinite(slack) or slack < 0:
-            raise ValueError(f"monotone_slack must be >= 0, got {slack}")
         object.__setattr__(self, "step_size", step)
         object.__setattr__(self, "max_iterations", iters)
-        object.__setattr__(self, "monotone_slack", slack)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset
+from .core import LabeledDataset, _frozen_array
 
 ACTIVATIONS = ("identity", "tanh", "relu")
 
@@ -31,8 +31,8 @@ class EmbeddingLayer:
     activation: str
 
     def __post_init__(self) -> None:
-        weight = np.array(self.weight, dtype=np.float64)
-        bias = np.array(self.bias, dtype=np.float64)
+        weight = _frozen_array(self.weight, np.float64)
+        bias = _frozen_array(self.bias, np.float64)
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-d, got shape {weight.shape}")
         if bias.shape != (weight.shape[0],):
@@ -45,8 +45,6 @@ class EmbeddingLayer:
             raise ValueError(
                 f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
             )
-        weight.setflags(write=False)
-        bias.setflags(write=False)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
 
@@ -127,10 +125,6 @@ def embed_points(mapping: EmbeddingMap, points) -> np.ndarray:
 
 def embed_dataset(mapping: EmbeddingMap, data: LabeledDataset) -> LabeledDataset:
     """Map every point; labels and class count carry over."""
-    if data.d != mapping.input_dim:
-        raise ValueError(
-            f"dataset dimension {data.d} does not match input_dim {mapping.input_dim}"
-        )
     return LabeledDataset(embed_points(mapping, data.points), data.labels, data.num_classes)
 
 
@@ -183,7 +177,7 @@ def load_embedding(path) -> EmbeddingMap:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"embedding file {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"embedding file {path}: top level must be an object")

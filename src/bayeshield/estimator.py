@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel
+from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_array
 
 # Target element count per row span of the streamed n x n pairwise pass,
 # which holds O(n * span) memory. Span boundaries never change the per-row
@@ -42,7 +42,7 @@ class BayesErrorEstimate:
     fallback_rows: tuple = ()
 
     def __post_init__(self) -> None:
-        pmax = np.array(self.per_sample_max_posterior, dtype=np.float64)
+        pmax = _frozen_array(self.per_sample_max_posterior, np.float64)
         if pmax.ndim != 1 or pmax.size == 0:
             raise ValueError("per_sample_max_posterior must be a non-empty vector")
         if pmax.min() < -1e-12 or pmax.max() > 1.0 + 1e-12:
@@ -50,7 +50,6 @@ class BayesErrorEstimate:
         value = float(self.value)
         if abs(value - (1.0 - pmax.mean())) > 1e-12:
             raise ValueError("value inconsistent with per-sample posteriors")
-        pmax.setflags(write=False)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "per_sample_max_posterior", pmax)
         object.__setattr__(self, "fallback_rows", tuple(int(i) for i in self.fallback_rows))
@@ -155,8 +154,7 @@ def estimate_posteriors(
     _, ok, values = _posterior_pass(
         data.points, data.labels, data.num_classes, kernel.bandwidth, threads
     )
-    fallback = tuple(int(i) for i in np.flatnonzero(~ok))
-    return PosteriorMatrix(values, fallback_rows=fallback)
+    return PosteriorMatrix(values, fallback_rows=np.flatnonzero(~ok))
 
 
 def estimate_bayes_error(

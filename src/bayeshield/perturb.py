@@ -21,6 +21,7 @@ from .core import (
     PgaConfig,
     PgaResult,
     SimilarityKernel,
+    _frozen_array,
 )
 from .embed import EmbeddingMap, embed_dataset, embed_points, pullback_gradients
 from .estimator import _posterior_pass, _run_row_spans, _similarity_rows, estimate_bayes_error
@@ -29,6 +30,10 @@ from .estimator import _posterior_pass, _run_row_spans, _similarity_rows, estima
 # the sphere only up to rounding, so exact idempotence needs the
 # feasibility test to absorb that rounding.
 PROJECTION_SLACK = 1e-12
+
+# Per-step decrease of the objective trace that is taken as rounding
+# rather than as a step too large for monotone ascent.
+MONOTONE_SLACK = 1e-9
 
 # Default step size is STEP_SCALE * n * radius: the gradient of the
 # averaged objective shrinks like 1/n, so a useful step must grow with
@@ -40,7 +45,7 @@ DEFAULT_ITERATIONS = 100
 
 
 class StepSizeWarning(RuntimeWarning):
-    """The objective trace decreased by more than the configured slack."""
+    """The objective trace decreased by more than MONOTONE_SLACK."""
 
 
 @dataclass(frozen=True)
@@ -61,16 +66,14 @@ class GradientReport:
     fallback_rows: tuple = ()
 
     def __post_init__(self) -> None:
-        grads = np.array(self.gradients, dtype=np.float64)
-        classes = np.array(self.argmax_classes, dtype=np.int64)
+        grads = _frozen_array(self.gradients, np.float64)
+        classes = _frozen_array(self.argmax_classes, np.int64)
         if grads.ndim != 2:
             raise ValueError(f"gradients must be 2-d, got shape {grads.shape}")
         if classes.shape != (grads.shape[0],):
             raise ValueError("argmax_classes length does not match gradient rows")
         if not np.all(np.isfinite(grads)):
             raise ValueError("gradients contain non-finite values")
-        grads.setflags(write=False)
-        classes.setflags(write=False)
         object.__setattr__(self, "gradients", grads)
         object.__setattr__(self, "argmax_classes", classes)
         object.__setattr__(self, "objective", float(self.objective))
@@ -117,14 +120,7 @@ def objective_and_gradient(
     space, while ``objective`` is the estimate of the embedded sample.
     """
     n = data.n
-    if embedding is not None:
-        if embedding.input_dim != data.d:
-            raise ValueError(
-                f"embedding input_dim {embedding.input_dim} does not match d={data.d}"
-            )
-        coords = embed_points(embedding, data.points)
-    else:
-        coords = data.points
+    coords = data.points if embedding is None else embed_points(embedding, data.points)
     sigma = kernel.bandwidth
 
     den, ok, posteriors = _posterior_pass(
@@ -135,9 +131,7 @@ def objective_and_gradient(
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     objective = float(1.0 - pstar.mean())
-    tied = np.flatnonzero(
-        (posteriors == pstar[:, None]).sum(axis=1) > 1
-    ) if data.num_classes > 1 else np.empty(0, dtype=np.int64)
+    tied = np.flatnonzero((posteriors == pstar[:, None]).sum(axis=1) > 1)
 
     # C[i, j] = table[i, y_j], so W streams from this (n, K) table
     table = np.zeros((n, data.num_classes))
@@ -169,8 +163,8 @@ def objective_and_gradient(
         objective=objective,
         gradients=grads,
         argmax_classes=cstar,
-        tied_rows=tuple(int(i) for i in tied),
-        fallback_rows=tuple(int(i) for i in np.flatnonzero(~ok)),
+        tied_rows=tied,
+        fallback_rows=np.flatnonzero(~ok),
     )
 
 
@@ -218,7 +212,7 @@ def pga_maximize(
     the estimate before step t and the final entry is the estimate
     recomputed from scratch on the returned dataset (bit-equal to
     calling the estimator on it). If the trace decreases by more than
-    ``config.monotone_slack`` in any step, a StepSizeWarning is issued
+    MONOTONE_SLACK in any step, a StepSizeWarning is issued
     and recorded in the result; ascent is only guaranteed for step
     sizes below 2/kappa, with kappa the kernel's upper bound.
     """
@@ -226,11 +220,7 @@ def pga_maximize(
     if any(i >= n for i in constraint.frozen):
         raise ValueError("frozen index outside the sample range")
     if len(constraint.frozen) >= n:
-        raise ValueError("all indices frozen; nothing can be perturbed")
-    if embedding is not None and embedding.input_dim != data.d:
-        raise ValueError(
-            f"embedding input_dim {embedding.input_dim} does not match d={data.d}"
-        )
+        raise ValueError(f"all {n} samples are frozen; nothing to perturb")
 
     frozen_rows = np.fromiter(sorted(constraint.frozen), dtype=np.int64, count=len(constraint.frozen))
     deltas = np.zeros_like(data.points)
@@ -260,7 +250,7 @@ def pga_maximize(
     fallback_seen = fallback_seen or bool(final.fallback_rows)
 
     trace_arr = np.asarray(trace)
-    drops = np.flatnonzero(np.diff(trace_arr) < -config.monotone_slack)
+    drops = np.flatnonzero(np.diff(trace_arr) < -MONOTONE_SLACK)
     if drops.size:
         worst = float(np.diff(trace_arr).min())
         msg = (

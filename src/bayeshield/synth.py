@@ -199,10 +199,6 @@ def finite_difference_gradient(
     h = float(h)
     if not np.isfinite(h) or h <= 0:
         raise ValueError(f"h must be a positive real, got {h}")
-    if embedding is not None and embedding.input_dim != data.d:
-        raise ValueError(
-            f"embedding input_dim {embedding.input_dim} does not match d={data.d}"
-        )
 
     def posterior_values(points: np.ndarray) -> np.ndarray:
         ds = data.with_points(points)

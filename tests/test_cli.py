@@ -360,3 +360,53 @@ def test_module_entry_point_runs():
     assert result.returncode == 0
     assert "estimate" in result.stdout
     assert "perturb" in result.stdout
+
+
+def test_perturb_out_of_range_frozen_index_exits_2(tmp_path, capsys):
+    data_path = tmp_path / "moons.csv"
+    assert main(["gen", "moons", "--n", "40", "--seed", "0", "--out", str(data_path)]) == 0
+    frozen_path = tmp_path / "frozen.txt"
+    frozen_path.write_text("\n".join(str(i) for i in [*range(39), 99]) + "\n")
+    code = main(
+        ["perturb", str(data_path), "--eps", "0.25", "--sigma", "0.425",
+         "--frozen", str(frozen_path), "--out", str(tmp_path / "out.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "outside the sample range" in err
+    assert "nothing to perturb" not in err
+
+
+def test_perturb_step_size_warning_printed_once(tmp_path):
+    data_path = tmp_path / "moons.csv"
+    assert main(["gen", "moons", "--n", "40", "--seed", "0", "--out", str(data_path)]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "bayeshield", "perturb", str(data_path), "--eps", "0.25",
+         "--eta", "500", "--iters", "5", "--out", str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stderr.count("objective decreased") == 1
+    assert result.stderr.startswith("warning: objective decreased")
+
+
+def test_deeply_nested_embedding_exits_2(tmp_path, capsys):
+    path = three_point_file(tmp_path)
+    embedding = tmp_path / "deep.json"
+    embedding.write_text("[" * 200_000)
+    code = main(["estimate", str(path), "--sigma", "1", "--embedding", str(embedding)])
+    assert code == 2
+    assert "deep.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-1e999"])
+def test_non_finite_fields_name_line_and_column(tmp_path, field):
+    dataset = tmp_path / "pts.csv"
+    dataset.write_text(f"f0,f1,label\n0.1,0.2,0\n0.3,{field},1\n")
+    with pytest.raises(CsvFormatError, match=rf"pts\.csv:3: column f1: '{field}' is not finite"):
+        read_dataset_csv(dataset)
+    deltas = tmp_path / "d.csv"
+    deltas.write_text(f"# version=1\nf0,f1\n{field},0.0\n0.0,0.0\n")
+    with pytest.raises(CsvFormatError, match=rf"d\.csv:3: column f0: '{field}' is not finite"):
+        read_deltas_csv(deltas)

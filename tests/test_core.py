@@ -91,8 +91,7 @@ def test_posterior_matrix_validation():
 
 
 def test_pga_config_validation():
-    cfg = PgaConfig(step_size=0.5, max_iterations=0)
-    assert cfg.monotone_slack == 1e-9
+    PgaConfig(step_size=0.5, max_iterations=0)
     with pytest.raises(ValueError, match="step_size"):
         PgaConfig(step_size=0.0, max_iterations=5)
     with pytest.raises(ValueError, match="max_iterations"):

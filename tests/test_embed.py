@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bayeshield.cli import main, write_dataset_csv
 from bayeshield.core import (
     LabeledDataset,
     PerturbationConstraint,
@@ -243,3 +244,43 @@ def test_load_rejects_bad_layer(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="bias"):
         load_embedding(path)
+
+
+def _perturb_cli_exit(ds, m, tmp_path):
+    data_path = tmp_path / "data.csv"
+    map_path = tmp_path / "map.json"
+    write_dataset_csv(data_path, ds)
+    save_embedding(m, map_path)
+    return main(
+        ["perturb", str(data_path), "--eps", "0.3", "--iters", "2", "--sigma", "1.0",
+         "--embedding", str(map_path), "--out", str(tmp_path / "out.csv")]
+    )
+
+
+BALL = PerturbationConstraint(norm_order="l2", radius=0.3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ds, m, tmp: objective_and_gradient(ds, K1, embedding=m),
+        lambda ds, m, tmp: pga_maximize(ds, K1, BALL, PgaConfig(0.05, 0), embedding=m),
+        lambda ds, m, tmp: pga_maximize(ds, K1, BALL, PgaConfig(0.05, 2), embedding=m),
+        lambda ds, m, tmp: finite_difference_gradient(ds, K1, embedding=m),
+        lambda ds, m, tmp: embed_dataset(m, ds),
+        lambda ds, m, tmp: _perturb_cli_exit(ds, m, tmp),
+    ],
+    ids=["objective_and_gradient", "pga_0_iters", "pga_2_iters",
+         "finite_difference_gradient", "embed_dataset", "cli_perturb"],
+)
+def test_embedding_dimension_mismatch_rejected(run, tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    ds = LabeledDataset(rng.normal(size=(6, 3)), [0, 1, 0, 1, 0, 1], 2)
+    m = tanh_map(seed=12, d_in=2)
+    try:
+        code = run(ds, m, tmp_path)
+    except ValueError as exc:
+        assert "input_dim" in str(exc)
+    else:
+        assert code == 2
+        assert "input_dim" in capsys.readouterr().err
