@@ -335,7 +335,7 @@ def cmd_estimate(args) -> int:
     embedding = None if args.embedding is None else load_embedding(args.embedding)
     target = data if embedding is None else embed_dataset(embedding, data)
     sigma, sigma_source = _resolve_bandwidth(args, target, None)
-    estimate = estimate_bayes_error(target, SimilarityKernel(bandwidth=sigma), threads=args.threads)
+    estimate = estimate_bayes_error(target, SimilarityKernel(bandwidth=sigma))
     warnings = []
     if estimate.fallback_rows:
         warnings.append(
@@ -405,9 +405,7 @@ def cmd_perturb(args) -> int:
     )
     eta = args.eta if args.eta is not None else default_step_size(data.n, args.eps)
     config = PgaConfig(step_size=eta, max_iterations=args.iters)
-    result = pga_maximize(
-        data, kernel, constraint, config, embedding=embedding, threads=args.threads
-    )
+    result = pga_maximize(data, kernel, constraint, config, embedding=embedding)
     deltas_path = _derived_path(args.out, "deltas")
     trace_path = _derived_path(args.out, "trace")
     results = _write_pga_outputs(result, args.out, deltas_path, trace_path)
@@ -434,7 +432,7 @@ def cmd_gradcheck(args) -> int:
     embedding = None if args.embedding is None else load_embedding(args.embedding)
     sigma, sigma_source = _resolve_bandwidth(args, data, embedding)
     kernel = SimilarityKernel(bandwidth=sigma)
-    report = objective_and_gradient(data, kernel, embedding=embedding, threads=args.threads)
+    report = objective_and_gradient(data, kernel, embedding=embedding)
     fd = finite_difference_gradient(data, kernel, embedding=embedding, h=args.h)
     keep = np.ones(data.n, dtype=bool)
     for row in report.tied_rows:
@@ -497,7 +495,7 @@ def _demo_truncnorm(args, outdir: Path) -> int:
     n = 2000
     data = sample_truncated_normal_pair(spec, n, args.seed)
     sigma = median_heuristic_bandwidth(data)
-    estimate = estimate_bayes_error(data, SimilarityKernel(bandwidth=sigma), threads=args.threads)
+    estimate = estimate_bayes_error(data, SimilarityKernel(bandwidth=sigma))
     diff = abs(estimate.value - analytic)
     sample_path = outdir / "truncnorm_sample.csv"
     write_dataset_csv(sample_path, data)
@@ -531,7 +529,7 @@ def _demo_moons(args, outdir: Path) -> int:
     eta = default_step_size(n, eps)
     constraint = PerturbationConstraint(norm_order="l2", radius=eps)
     config = PgaConfig(step_size=eta, max_iterations=iters)
-    result = pga_maximize(data, kernel, constraint, config, threads=args.threads)
+    result = pga_maximize(data, kernel, constraint, config)
     paths = [outdir / f"moons_{tag}.csv" for tag in ("before", "after", "deltas", "trace")]
     write_dataset_csv(paths[0], data)
     results = _write_pga_outputs(result, *paths[1:], note=f"  (budget eps={eps}, l2)")
@@ -565,21 +563,7 @@ def _add_kernel_flags(sub) -> None:
     )
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _add_common_flags(sub) -> None:
-    sub.add_argument(
-        "--threads", type=_thread_count, default=1,
-        help="worker threads for the pairwise passes (at least 1)",
-    )
+def _add_report_flag(sub) -> None:
     sub.add_argument("--report", default=None, help="write a JSON run report here")
 
 
@@ -598,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(est)
     est.add_argument("--embedding", default=None, help="embedding map JSON file")
     est.add_argument("--out", default=None, help="write per-sample max posteriors here")
-    _add_common_flags(est)
+    _add_report_flag(est)
     est.set_defaults(handler=cmd_estimate)
 
     per = subs.add_parser("perturb", help="projected gradient ascent on the estimate")
@@ -614,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     per.add_argument("--embedding", default=None, help="embedding map JSON file")
     _add_kernel_flags(per)
     per.add_argument("--out", required=True, help="perturbed dataset CSV path")
-    _add_common_flags(per)
+    _add_report_flag(per)
     per.set_defaults(handler=cmd_perturb)
 
     grad = subs.add_parser("gradcheck", help="analytic vs finite-difference gradient")
@@ -622,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--h", type=float, default=1e-5, help="central difference step")
     grad.add_argument("--embedding", default=None, help="embedding map JSON file")
     _add_kernel_flags(grad)
-    _add_common_flags(grad)
+    _add_report_flag(grad)
     grad.set_defaults(handler=cmd_gradcheck)
 
     gen = subs.add_parser("gen", help="generate a synthetic dataset")
@@ -631,14 +615,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.1, help="moons jitter std")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="dataset CSV path")
-    gen.add_argument("--report", default=None, help="write a JSON run report here")
+    _add_report_flag(gen)
     gen.set_defaults(handler=cmd_gen)
 
     demo = subs.add_parser("demo", help="run a canonical end-to-end example")
     demo.add_argument("name", choices=["truncnorm", "moons"])
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--out", default=".", help="output directory")
-    _add_common_flags(demo)
+    _add_report_flag(demo)
     demo.set_defaults(handler=cmd_demo)
 
     return parser

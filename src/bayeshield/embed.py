@@ -104,11 +104,17 @@ def _activation_derivative(post: np.ndarray, name: str) -> np.ndarray:
 
 
 def _forward(mapping: EmbeddingMap, points: np.ndarray) -> list:
-    """Layer outputs for a batch; entry 0 is the input itself."""
+    """Layer outputs for a batch; entry 0 is the input itself.
+
+    Raises ValueError naming the first layer whose output overflows.
+    """
     outputs = [points]
     cur = points
-    for layer in mapping.layers:
-        cur = _activate(cur @ layer.weight.T + layer.bias, layer.activation)
+    for idx, layer in enumerate(mapping.layers):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = _activate(cur @ layer.weight.T + layer.bias, layer.activation)
+        if not np.isfinite(cur).all():
+            raise ValueError(f"embedding layer {idx} output is not finite")
         outputs.append(cur)
     return outputs
 
@@ -183,7 +189,8 @@ def load_embedding(path) -> EmbeddingMap:
         raise ValueError(f"embedding file {path}: top level must be an object")
     if "version" not in doc:
         raise ValueError(f"embedding file {path}: missing mandatory 'version' field")
-    if doc["version"] != EMBEDDING_FORMAT_VERSION:
+    # true and 1.0 both compare equal to 1, so the type is checked too
+    if type(doc["version"]) is not int or doc["version"] != EMBEDDING_FORMAT_VERSION:
         raise ValueError(
             f"embedding file {path}: unsupported version {doc['version']!r}"
         )

@@ -10,6 +10,7 @@ sample support, which is the failure mode the kernel estimator removes.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,8 +21,16 @@ from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_arr
 
 # Target element count per row span of the streamed n x n pairwise pass,
 # which holds O(n * span) memory. Span boundaries never change the per-row
-# arithmetic, so results are identical for any span or thread count.
+# arithmetic, so results are identical for any span or worker count.
 _CHUNK_ELEMENTS = 65_536
+
+# Workers for the row spans: the CPUs this process may run on, so that
+# `taskset` restricts a run. The NumPy and SciPy calls inside a span
+# release the interpreter lock, so threads overlap their work.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
 
 
 class UndefinedPosteriorError(ValueError):
@@ -78,12 +87,12 @@ def _row_spans(n: int) -> list:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _run_row_spans(fill, n: int, threads: int) -> None:
+def _run_row_spans(fill, n: int) -> None:
     """Call ``fill((lo, hi))`` on every row span of an n-row pairwise
-    pass, on ``threads`` workers when that splits the work."""
+    pass, on ``_WORKERS`` threads when that splits the work."""
     spans = _row_spans(n)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    if _WORKERS > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
             list(pool.map(fill, spans))
     else:
         for span in spans:
@@ -104,9 +113,7 @@ def _similarity_rows(points: np.ndarray, lo: int, hi: int, bandwidth: float) -> 
     return block
 
 
-def _posterior_pass(
-    coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float, threads: int
-) -> tuple:
+def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
     """Leave-one-out posteriors of ``coords`` and the sums behind them.
 
     Returns ``(den, ok, posteriors)``: each row's similarity mass, the
@@ -125,7 +132,7 @@ def _posterior_pass(
         for c, mask in enumerate(masks):
             num[lo:hi, c] = (sims * mask).sum(axis=1)
 
-    _run_row_spans(fill, n, threads)
+    _run_row_spans(fill, n)
     den = num.sum(axis=1)
     ok = den > 0.0
     posteriors = np.full((n, k), 1.0 / k)
@@ -133,38 +140,24 @@ def _posterior_pass(
     return den, ok, posteriors
 
 
-def estimate_posteriors(
-    data: LabeledDataset, kernel: SimilarityKernel, threads: int = 1
-) -> PosteriorMatrix:
+def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:
     """Leave-one-out kernel posteriors for every sample.
 
     Row i, column c is sum_{j != i} [y_j = c] s(x_j, x_i) divided by
     sum_{k != i} s(x_k, x_i). A row whose similarity mass underflows to
     zero is replaced by the uniform distribution and reported through
     ``fallback_rows``.
-
-    Parameters
-    ----------
-    data : LabeledDataset
-    kernel : SimilarityKernel
-    threads : int
-        Worker threads for the similarity pass. Output does not depend
-        on this value.
     """
-    _, ok, values = _posterior_pass(
-        data.points, data.labels, data.num_classes, kernel.bandwidth, threads
-    )
+    _, ok, values = _posterior_pass(data.points, data.labels, data.num_classes, kernel.bandwidth)
     return PosteriorMatrix(values, fallback_rows=np.flatnonzero(~ok))
 
 
-def estimate_bayes_error(
-    data: LabeledDataset, kernel: SimilarityKernel, threads: int = 1
-) -> BayesErrorEstimate:
+def estimate_bayes_error(data: LabeledDataset, kernel: SimilarityKernel) -> BayesErrorEstimate:
     """Bayes error estimate 1 - (1/n) sum_i max_c p(y=c | x_i).
 
     Propagates the uniform-fallback diagnostic of the posterior pass.
     """
-    posteriors = estimate_posteriors(data, kernel, threads)
+    posteriors = estimate_posteriors(data, kernel)
     pmax = posteriors.values.max(axis=1)
     value = float(1.0 - pmax.mean())
     return BayesErrorEstimate(
@@ -199,7 +192,9 @@ def median_heuristic_bandwidth(data: LabeledDataset) -> float:
     """Median of all pairwise Euclidean distances, the default bandwidth.
 
     Scale-adaptive and deterministic. Requires at least one distinct
-    pair; a zero median would not be a valid bandwidth.
+    pair; a zero median would not be a valid bandwidth. Unlike the
+    streamed pairwise pass, this holds all n(n-1)/2 distances at once
+    (1.6 GB of doubles at n=20000), and np.median partitions a copy.
     """
     dists = pdist(data.points)
     med = float(np.median(dists))

@@ -96,7 +96,6 @@ def objective_and_gradient(
     data: LabeledDataset,
     kernel: SimilarityKernel,
     embedding: EmbeddingMap | None = None,
-    threads: int = 1,
 ) -> GradientReport:
     """Bayes error estimate and its analytic gradient, streamed in row spans.
 
@@ -123,9 +122,7 @@ def objective_and_gradient(
     coords = data.points if embedding is None else embed_points(embedding, data.points)
     sigma = kernel.bandwidth
 
-    den, ok, posteriors = _posterior_pass(
-        coords, data.labels, data.num_classes, sigma, threads
-    )
+    den, ok, posteriors = _posterior_pass(coords, data.labels, data.num_classes, sigma)
 
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
@@ -151,7 +148,7 @@ def objective_and_gradient(
         wsum[lo:hi] = weights.sum(axis=1)
         mixed[lo:hi] = np.einsum("ij,jk->ik", weights, coords)
 
-    _run_row_spans(fill, n, threads)
+    _run_row_spans(fill, n)
     grads_emb = (wsum[:, None] * coords - mixed) / n
 
     if embedding is not None:
@@ -171,11 +168,25 @@ def objective_and_gradient(
 def _project_rows(deltas: np.ndarray, constraint: PerturbationConstraint) -> np.ndarray:
     if constraint.norm_order == "linf":
         return np.clip(deltas, -constraint.radius, constraint.radius)
-    norms = np.sqrt((deltas * deltas).sum(axis=1))
-    factors = np.ones(deltas.shape[0])
-    over = norms > constraint.radius + PROJECTION_SLACK
-    factors[over] = constraint.radius / norms[over]
-    return deltas * factors[:, None]
+    radius = constraint.radius
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((deltas * deltas).sum(axis=1))
+        factors = np.ones(deltas.shape[0])
+        over = norms > radius + PROJECTION_SLACK
+        factors[over] = radius / norms[over]
+        projected = deltas * factors[:, None]
+        # a row whose squared norm overflows is measured and projected
+        # after dividing it by its largest entry; the other rows keep the
+        # plain formula and its bits
+        for i in np.flatnonzero(np.isinf(norms)):
+            scale = np.abs(deltas[i]).max()
+            unit = deltas[i] / scale
+            norm = np.sqrt((unit * unit).sum())
+            if norm * scale > radius + PROJECTION_SLACK:
+                projected[i] = unit * (radius / norm)
+            else:
+                projected[i] = deltas[i]
+    return projected
 
 
 def project(delta, constraint: PerturbationConstraint) -> np.ndarray:
@@ -198,7 +209,6 @@ def pga_maximize(
     constraint: PerturbationConstraint,
     config: PgaConfig,
     embedding: EmbeddingMap | None = None,
-    threads: int = 1,
 ) -> PgaResult:
     """Projected gradient ascent on the Bayes error estimate.
 
@@ -229,9 +239,7 @@ def pga_maximize(
     fallback_seen = False
 
     for _ in range(config.max_iterations):
-        report = objective_and_gradient(
-            data.with_points(data.points + deltas), kernel, embedding, threads
-        )
+        report = objective_and_gradient(data.with_points(data.points + deltas), kernel, embedding)
         trace.append(report.objective)
         fallback_seen = fallback_seen or bool(report.fallback_rows)
         grads = report.gradients.copy()
@@ -242,9 +250,7 @@ def pga_maximize(
     final_points = data.points + deltas
     perturbed = data.with_points(final_points)
     final = estimate_bayes_error(
-        perturbed if embedding is None else embed_dataset(embedding, perturbed),
-        kernel,
-        threads,
+        perturbed if embedding is None else embed_dataset(embedding, perturbed), kernel
     )
     trace.append(final.value)
     fallback_seen = fallback_seen or bool(final.fallback_rows)

@@ -152,16 +152,21 @@ def test_estimate_embedding_weight_not_a_matrix_exits_2(tmp_path, capsys):
     assert "emb.json" in err and "layer 0" in err
 
 
-def test_threads_below_one_exits_2(tmp_path, capsys):
-    path = three_point_file(tmp_path)
-    for value in ("0", "-3"):
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    # the worker count follows CPU affinity; no subcommand takes one
+    path = str(three_point_file(tmp_path))
+    out = str(tmp_path / "out.csv")
+    for argv in (
+        ["estimate", path, "--sigma", "1.0"],
+        ["perturb", path, "--eps", "0.1", "--out", out],
+        ["gradcheck", path, "--sigma", "1.0"],
+        ["gen", "moons", "--out", out],
+        ["demo", "moons", "--out", str(tmp_path)],
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["estimate", str(path), "--sigma", "1.0", "--threads", value])
+            main([*argv, "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "moons", "--out", str(tmp_path / "m.csv"), "--threads", "2"])
-    assert exc.value.code == 2
 
 
 def test_estimate_rejects_nonpositive_sigma(tmp_path, capsys):

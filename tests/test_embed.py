@@ -98,6 +98,20 @@ def test_relu_forward():
     np.testing.assert_array_equal(out[0], [2.0, 0.0])
 
 
+def test_forward_overflow_names_the_layer(tmp_path, capsys):
+    huge = EmbeddingLayer(np.eye(2) * 1e308, np.zeros(2), "identity")
+    m = EmbeddingMap((EmbeddingLayer(np.eye(2), np.zeros(2), "tanh"), huge, huge))
+    with pytest.raises(ValueError, match="embedding layer 2 output is not finite"):
+        embed_points(m, [[0.5, -0.5]])
+    data_path = tmp_path / "data.csv"
+    map_path = tmp_path / "map.json"
+    write_dataset_csv(data_path, LabeledDataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], 2))
+    save_embedding(EmbeddingMap((huge,)), map_path)
+    code = main(["estimate", str(data_path), "--embedding", str(map_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: embedding layer 0 output is not finite\n"
+
+
 def test_dimension_properties():
     m = tanh_map()
     assert m.input_dim == 2
@@ -233,6 +247,11 @@ def test_load_rejects_missing_version(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="version"):
         load_embedding(path)
+    # equal to 1 is not enough: the version is the integer 1
+    for version in (True, 1.0):
+        path.write_text(json.dumps(dict(payload, version=version)))
+        with pytest.raises(ValueError, match="unsupported version"):
+            load_embedding(path)
 
 
 def test_load_rejects_bad_layer(tmp_path):

@@ -176,11 +176,12 @@ def test_threads_do_not_change_bits(monkeypatch):
     for chunk in (150 * 30, 1):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
         assert len(estimator._row_spans(150)) >= 3
-        for ds, (reference, value) in zip(cases, references):
-            for threads in (1, 2):
-                got = estimate_posteriors(ds, kernel, threads=threads)
+        for workers in (1, 2):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            for ds, (reference, value) in zip(cases, references):
+                got = estimate_posteriors(ds, kernel)
                 np.testing.assert_array_equal(got.values, reference)
-                assert estimate_bayes_error(ds, kernel, threads=threads).value == value
+                assert estimate_bayes_error(ds, kernel).value == value
 
 
 def test_posteriors_memory_is_linear():

@@ -15,6 +15,7 @@ from bayeshield.embed import EmbeddingLayer, EmbeddingMap, embed_dataset
 from bayeshield.estimator import estimate_bayes_error, estimate_posteriors
 from bayeshield.perturb import (
     StepSizeWarning,
+    _project_rows,
     default_step_size,
     objective_and_gradient,
     pga_maximize,
@@ -138,10 +139,11 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
     for chunk in row_splits(120):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
         assert len(estimator._row_spans(120)) >= 3
-        for (ds, embedding), refs in zip(cases, references):
-            for e, reference in zip((None, embedding), refs):
-                for threads in (1, 2):
-                    got = objective_and_gradient(ds, K1, embedding=e, threads=threads)
+        for workers in (1, 2):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            for (ds, embedding), refs in zip(cases, references):
+                for e, reference in zip((None, embedding), refs):
+                    got = objective_and_gradient(ds, K1, embedding=e)
                     assert got.objective == reference.objective
                     np.testing.assert_array_equal(got.gradients, reference.gradients)
 
@@ -192,6 +194,24 @@ def test_project_l2_rescales():
     c = PerturbationConstraint(norm_order="l2", radius=1.0)
     out = project(np.array([3.0, 4.0]), c)
     np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-12)
+
+
+def test_project_l2_rows_whose_squared_norm_overflows():
+    c = PerturbationConstraint(norm_order="l2", radius=1.0)
+    rows = np.random.default_rng(14).normal(size=(4, 2)) * 3.0
+    batch = np.vstack([rows, [[1e200, 1e200], [1.7e308, -1.7e308]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _project_rows(batch, c)
+    # the other rows keep the bits of the plain formula
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    factors = np.where(norms > 1.0 + 1e-12, 1.0 / norms, 1.0)
+    np.testing.assert_array_equal(out[:4], rows * factors[:, None])
+    half = 0.5**0.5
+    np.testing.assert_allclose(out[4:], [[half, half], [half, -half]], rtol=1e-15)
+    # a ball wide enough to hold such a row leaves it as it is
+    wide = PerturbationConstraint(norm_order="l2", radius=1e300)
+    np.testing.assert_array_equal(project([1e200, -1e200], wide), [1e200, -1e200])
 
 
 def test_project_rejects_non_finite():
@@ -303,8 +323,9 @@ def test_pga_threads_bitwise_identical(monkeypatch):
     for chunk in row_splits(ds.n):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
         assert len(estimator._row_spans(ds.n)) >= 3
-        for threads in (1, 2):
-            got = pga_maximize(ds, K1, c, config, threads=threads)
+        for workers in (1, 2):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            got = pga_maximize(ds, K1, c, config)
             np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
             np.testing.assert_array_equal(got.deltas, reference.deltas)
             np.testing.assert_array_equal(got.trace, reference.trace)
