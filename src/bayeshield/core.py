@@ -129,13 +129,12 @@ class PerturbationConstraint:
 class PosteriorMatrix:
     """Leave-one-out posterior estimates, one normalized row per sample.
 
-    ``fallback_rows`` lists rows whose similarity mass underflowed to
-    zero; those rows hold the uniform distribution and the condition is
-    reported rather than silently absorbed.
+    Every row is the kernel-weighted vote of the other samples, also
+    where that row's similarity mass underflows float64 (see
+    ``estimate_posteriors``).
     """
 
     values: np.ndarray
-    fallback_rows: tuple = ()
 
     def __post_init__(self) -> None:
         values = _frozen_array(self.values, np.float64)
@@ -153,11 +152,7 @@ class PosteriorMatrix:
             raise ValueError(
                 f"posterior row {bad} sums to {values[bad].sum()!r}, not 1"
             )
-        fallback = tuple(int(i) for i in self.fallback_rows)
-        if any(i < 0 or i >= values.shape[0] for i in fallback):
-            raise ValueError("fallback_rows outside row range")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "fallback_rows", fallback)
 
     @property
     def n(self) -> int:
@@ -197,8 +192,8 @@ class PgaResult:
     ``perturbed.points`` equals the original points plus ``deltas``,
     exactly. ``trace`` holds the objective per iteration: entry 0 is the
     unperturbed estimate and the last entry is the estimate recomputed
-    on the returned dataset. ``warnings`` carries any diagnostics raised
-    during the run (step size, posterior fallback).
+    on the returned dataset. ``warnings`` carries the step-size
+    diagnostic when the trace decreased.
     """
 
     perturbed: LabeledDataset

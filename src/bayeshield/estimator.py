@@ -42,13 +42,11 @@ class BayesErrorEstimate:
     """Estimated Bayes error together with its per-sample evidence.
 
     ``value`` equals 1 - mean(per_sample_max_posterior) and lies in
-    [0, 1 - 1/K]. ``fallback_rows`` propagates the uniform-fallback
-    diagnostic from the posterior computation.
+    [0, 1 - 1/K].
     """
 
     value: float
     per_sample_max_posterior: np.ndarray
-    fallback_rows: tuple = ()
 
     def __post_init__(self) -> None:
         pmax = _frozen_array(self.per_sample_max_posterior, np.float64)
@@ -61,7 +59,6 @@ class BayesErrorEstimate:
             raise ValueError("value inconsistent with per-sample posteriors")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "per_sample_max_posterior", pmax)
-        object.__setattr__(self, "fallback_rows", tuple(int(i) for i in self.fallback_rows))
 
 
 def gaussian_similarity(a, b, bandwidth: float) -> float:
@@ -113,14 +110,33 @@ def _similarity_rows(points: np.ndarray, lo: int, hi: int, bandwidth: float) -> 
     return block
 
 
+def _shifted_similarity_rows(points: np.ndarray, rows: np.ndarray, bandwidth: float):
+    """Yield ``(u, row)`` for each u in ``rows``: x_u's similarities divided
+    by its nearest neighbour's, exp(-(||x_u - x_j||^2 - min_{k != u}
+    ||x_u - x_k||^2) / (2 sigma^2)), zero at j = u. Posteriors and gradient
+    terms are ratios to a row's mass, so they keep their value, also where
+    the plain mass underflows float64."""
+    for u in rows:
+        row = cdist(points[u : u + 1], points, "sqeuclidean")[0]
+        row[u] = np.inf
+        nearest = row.min()
+        if not np.isfinite(nearest):
+            raise ValueError(f"row {u}: squared distance to its nearest neighbour overflows")
+        row -= nearest
+        row /= -2.0 * bandwidth * bandwidth
+        np.exp(row, out=row)
+        yield u, row
+
+
 def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
     """Leave-one-out posteriors of ``coords`` and the sums behind them.
 
-    Returns ``(den, ok, posteriors)``: each row's similarity mass, the
-    mask of rows whose mass is positive, and the (n, k) posteriors,
-    uniform where the mass underflowed. The estimator and the gradient
-    both read this one streamed pass, so the objective of the gradient
-    is bit-equal to the estimate.
+    Returns ``(den, underflow, posteriors)``: each row's similarity mass,
+    the rows whose mass is zero or subnormal, and the (n, k) posteriors.
+    Those rows are recomputed by ``_shifted_similarity_rows``, so their
+    ``den`` is the shifted mass. The estimator and the gradient both
+    read this one streamed pass, so the objective of the gradient is
+    bit-equal to the estimate.
     """
     n = coords.shape[0]
     num = np.empty((n, k))
@@ -134,37 +150,30 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
 
     _run_row_spans(fill, n)
     den = num.sum(axis=1)
-    ok = den > 0.0
-    posteriors = np.full((n, k), 1.0 / k)
-    posteriors[ok] = num[ok] / den[ok, None]
-    return den, ok, posteriors
+    underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
+    for u, row in _shifted_similarity_rows(coords, underflow, bandwidth):
+        num[u] = [(row * mask).sum() for mask in masks]
+        den[u] = num[u].sum()
+    return den, underflow, num / den[:, None]
 
 
 def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:
     """Leave-one-out kernel posteriors for every sample.
 
     Row i, column c is sum_{j != i} [y_j = c] s(x_j, x_i) divided by
-    sum_{k != i} s(x_k, x_i). A row whose similarity mass underflows to
-    zero is replaced by the uniform distribution and reported through
-    ``fallback_rows``.
+    sum_{k != i} s(x_k, x_i), also where that mass underflows float64.
+    As the bandwidth goes to zero, row i tends to the one-hot label of
+    its nearest neighbour.
     """
-    _, ok, values = _posterior_pass(data.points, data.labels, data.num_classes, kernel.bandwidth)
-    return PosteriorMatrix(values, fallback_rows=np.flatnonzero(~ok))
+    _, _, values = _posterior_pass(data.points, data.labels, data.num_classes, kernel.bandwidth)
+    return PosteriorMatrix(values)
 
 
 def estimate_bayes_error(data: LabeledDataset, kernel: SimilarityKernel) -> BayesErrorEstimate:
-    """Bayes error estimate 1 - (1/n) sum_i max_c p(y=c | x_i).
-
-    Propagates the uniform-fallback diagnostic of the posterior pass.
-    """
+    """Bayes error estimate 1 - (1/n) sum_i max_c p(y=c | x_i)."""
     posteriors = estimate_posteriors(data, kernel)
     pmax = posteriors.values.max(axis=1)
-    value = float(1.0 - pmax.mean())
-    return BayesErrorEstimate(
-        value=value,
-        per_sample_max_posterior=pmax,
-        fallback_rows=posteriors.fallback_rows,
-    )
+    return BayesErrorEstimate(value=float(1.0 - pmax.mean()), per_sample_max_posterior=pmax)
 
 
 def naive_posterior(data: LabeledDataset, query) -> np.ndarray:
@@ -194,10 +203,10 @@ def median_heuristic_bandwidth(data: LabeledDataset) -> float:
     Scale-adaptive and deterministic. Requires at least one distinct
     pair; a zero median would not be a valid bandwidth. Unlike the
     streamed pairwise pass, this holds all n(n-1)/2 distances at once
-    (1.6 GB of doubles at n=20000), and np.median partitions a copy.
+    (1.6 GB of doubles at n=20000); np.median partitions them in place.
     """
     dists = pdist(data.points)
-    med = float(np.median(dists))
+    med = float(np.median(dists, overwrite_input=True))
     if med <= 0.0:
         raise ValueError(
             "median pairwise distance is zero; bandwidth must be chosen "

@@ -24,7 +24,8 @@ from .core import (
     _frozen_array,
 )
 from .embed import EmbeddingMap, embed_dataset, embed_points, pullback_gradients
-from .estimator import _posterior_pass, _run_row_spans, _similarity_rows, estimate_bayes_error
+from .estimator import _posterior_pass, _run_row_spans, _shifted_similarity_rows
+from .estimator import _similarity_rows, estimate_bayes_error
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -55,15 +56,13 @@ class GradientReport:
     ``argmax_classes`` records the per-row class the max was linearized
     at; ``tied_rows`` lists rows where that max is attained by more
     than one class (the objective is non-smooth there and the gradient
-    is a subgradient); ``fallback_rows`` lists rows whose posterior fell
-    back to uniform and therefore contribute no gradient.
+    is a subgradient).
     """
 
     objective: float
     gradients: np.ndarray
     argmax_classes: np.ndarray
     tied_rows: tuple = ()
-    fallback_rows: tuple = ()
 
     def __post_init__(self) -> None:
         grads = _frozen_array(self.gradients, np.float64)
@@ -78,9 +77,6 @@ class GradientReport:
         object.__setattr__(self, "argmax_classes", classes)
         object.__setattr__(self, "objective", float(self.objective))
         object.__setattr__(self, "tied_rows", tuple(int(i) for i in self.tied_rows))
-        object.__setattr__(
-            self, "fallback_rows", tuple(int(i) for i in self.fallback_rows)
-        )
 
 
 def default_step_size(n: int, radius: float) -> float:
@@ -111,8 +107,10 @@ def objective_and_gradient(
 
     where p_i is the selected posterior entry and den_i the leave-one-
     out similarity mass, and the gradient of the estimate is
-    (sum_j W[m, j]) * x_m - sum_j W[m, j] x_j, divided by n. Rows with
-    zero similarity mass use the uniform posterior and drop out of W.
+    (sum_j W[m, j]) * x_m - sum_j W[m, j] x_j, divided by n. A row i
+    whose mass underflows enters W with C[i, j] * s(x_i, x_j) taken from
+    its similarities divided by its nearest neighbour's, which is the
+    same value; its terms in other rows' columns stay as streamed.
 
     When ``embedding`` is given, similarity and the gradient are taken
     in the embedding space and the gradient is pulled back to the input
@@ -122,7 +120,7 @@ def objective_and_gradient(
     coords = data.points if embedding is None else embed_points(embedding, data.points)
     sigma = kernel.bandwidth
 
-    den, ok, posteriors = _posterior_pass(coords, data.labels, data.num_classes, sigma)
+    den, underflow, posteriors = _posterior_pass(coords, data.labels, data.num_classes, sigma)
 
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
@@ -131,9 +129,8 @@ def objective_and_gradient(
     tied = np.flatnonzero((posteriors == pstar[:, None]).sum(axis=1) > 1)
 
     # C[i, j] = table[i, y_j], so W streams from this (n, K) table
-    table = np.zeros((n, data.num_classes))
-    selected = np.arange(data.num_classes) == cstar[ok, None]
-    table[ok] = (selected - pstar[ok, None]) / den[ok, None]
+    selected = np.arange(data.num_classes) == cstar[:, None]
+    table = (selected - pstar[:, None]) / den[:, None]
     table_by_class = np.ascontiguousarray(table.T)
     wsum = np.empty(n)
     mixed = np.empty_like(coords)
@@ -149,6 +146,15 @@ def objective_and_gradient(
         mixed[lo:hi] = np.einsum("ij,jk->ik", weights, coords)
 
     _run_row_spans(fill, n)
+    # an underflowing row u streamed its own terms below float64's normal
+    # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
+    # and W[m, u] from its shifted similarities
+    for u, row in _shifted_similarity_rows(coords, underflow, sigma):
+        weights = table[u].take(data.labels) * row / (sigma * sigma)
+        wsum[u] += weights.sum()
+        mixed[u] += np.einsum("j,jk->k", weights, coords)
+        wsum += weights
+        mixed += weights[:, None] * coords[u]
     grads_emb = (wsum[:, None] * coords - mixed) / n
 
     if embedding is not None:
@@ -161,7 +167,6 @@ def objective_and_gradient(
         gradients=grads,
         argmax_classes=cstar,
         tied_rows=tied,
-        fallback_rows=np.flatnonzero(~ok),
     )
 
 
@@ -236,12 +241,10 @@ def pga_maximize(
     deltas = np.zeros_like(data.points)
     trace = []
     run_warnings = []
-    fallback_seen = False
 
     for _ in range(config.max_iterations):
         report = objective_and_gradient(data.with_points(data.points + deltas), kernel, embedding)
         trace.append(report.objective)
-        fallback_seen = fallback_seen or bool(report.fallback_rows)
         grads = report.gradients.copy()
         if frozen_rows.size:
             grads[frozen_rows] = 0.0
@@ -253,7 +256,6 @@ def pga_maximize(
         perturbed if embedding is None else embed_dataset(embedding, perturbed), kernel
     )
     trace.append(final.value)
-    fallback_seen = fallback_seen or bool(final.fallback_rows)
 
     trace_arr = np.asarray(trace)
     drops = np.flatnonzero(np.diff(trace_arr) < -MONOTONE_SLACK)
@@ -266,10 +268,6 @@ def pga_maximize(
         )
         _warnings.warn(msg, StepSizeWarning, stacklevel=2)
         run_warnings.append(msg)
-    if fallback_seen:
-        run_warnings.append(
-            "some posterior rows had zero similarity mass and fell back to uniform"
-        )
 
     return PgaResult(
         perturbed=perturbed,

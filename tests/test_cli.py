@@ -336,6 +336,20 @@ def test_gradcheck_huge_h_fails(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_gradcheck_subnormal_mass_passes_without_warnings(tmp_path):
+    # at sigma 1, row 0's similarity mass exp(-710.6) + exp(-710.8) is subnormal
+    path = tmp_path / "far.csv"
+    path.write_text("f0,label\n0.0,0\n37.7,0\n-37.7037,1\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "bayeshield", "gradcheck", str(path), "--sigma", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert "RuntimeWarning" not in result.stderr
+    assert "gradient check passed" in result.stdout
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
     assert main(["gen", "moons", "--n", "50", "--seed", "4", "--out", str(a)]) == 0

@@ -86,8 +86,6 @@ def test_posterior_matrix_validation():
         PosteriorMatrix([[0.5, 0.4]])
     with pytest.raises(ValueError, match="lie in"):
         PosteriorMatrix([[1.5, -0.5]])
-    with pytest.raises(ValueError, match="fallback"):
-        PosteriorMatrix([[0.5, 0.5]], fallback_rows=(4,))
 
 
 def test_pga_config_validation():

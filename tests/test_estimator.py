@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
@@ -64,7 +65,6 @@ def test_posteriors_identical_points():
         [[1 / 3, 2 / 3], [1 / 3, 2 / 3], [2 / 3, 1 / 3], [2 / 3, 1 / 3]]
     )
     np.testing.assert_allclose(pm.values, expected, atol=1e-15)
-    assert pm.fallback_rows == ()
 
 
 def test_posteriors_three_point_oracle():
@@ -86,14 +86,18 @@ def test_posteriors_single_class():
     np.testing.assert_array_equal(pm.values, np.ones((3, 1)))
 
 
-def test_posteriors_underflow_falls_back_to_uniform():
+def test_posteriors_underflow_takes_the_nearest_neighbour_limit():
+    # each row's only neighbour is 1e4 away, so its mass is exp(-5e7) = 0
     ds = LabeledDataset([[0.0], [1e4]], [0, 1], 2)
-    pm = estimate_posteriors(ds, K1)
-    assert pm.fallback_rows == (0, 1)
-    np.testing.assert_array_equal(pm.values, np.full((2, 2), 0.5))
-    est = estimate_bayes_error(ds, K1)
-    assert est.fallback_rows == (0, 1)
-    assert est.value == pytest.approx(0.5)
+    np.testing.assert_array_equal(estimate_posteriors(ds, K1).values, [[0.0, 1.0], [1.0, 0.0]])
+    assert estimate_bayes_error(ds, K1).value == 0.0
+
+
+def test_posteriors_reject_an_overflowing_nearest_distance():
+    # the squared distance 1e400 is inf in float64, so no neighbour is nearest
+    ds = LabeledDataset([[0.0], [1e200]], [0, 1], 2)
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_posteriors(ds, K1)
 
 
 def test_bayes_error_identical_points():
@@ -168,6 +172,11 @@ def test_threads_do_not_change_bits(monkeypatch):
     kernel = SimilarityKernel(bandwidth=0.7)
     # at d=9 cdist's sequential sum differs from numpy's 8-wide one
     cases = [random_dataset(rng, n=150, d=d, k=3) for d in (3, 9)]
+    # rows whose similarity mass underflows: one alone, and a pair whose
+    # only mass is exp(-720) of each other
+    far = cases[0].points.copy()
+    far[[20, 90, 140]] = [[1e3, 0.0, 0.0], [0.0, 1e3, 0.0], [0.0, 1e3, (720 * 2 * 0.7**2) ** 0.5]]
+    cases.append(cases[0].with_points(far))
     references = [
         (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
         for ds in cases
@@ -182,6 +191,26 @@ def test_threads_do_not_change_bits(monkeypatch):
                 got = estimate_posteriors(ds, kernel)
                 np.testing.assert_array_equal(got.values, reference)
                 assert estimate_bayes_error(ds, kernel).value == value
+
+
+def test_small_bandwidth_takes_each_rows_nearest_neighbour_label():
+    rng = np.random.default_rng(21)
+    kernel = SimilarityKernel(bandwidth=1e-4)
+    checked = 0
+    for _ in range(20):
+        ds = random_dataset(rng, k=3)
+        sq = ((ds.points[:, None, :] - ds.points[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(sq, np.inf)
+        nearest, runner_up = np.sort(sq, axis=1)[:, :2].T
+        # a gap of 1e-3 is 5e4 in units of 2 sigma^2, so the runner-up's
+        # similarity relative to the nearest neighbour's is exp(-5e4) = 0
+        if (runner_up - nearest).min() < 1e-3:
+            continue
+        checked += 1
+        one_hot = np.eye(ds.num_classes)[ds.labels[sq.argmin(axis=1)]]
+        np.testing.assert_array_equal(estimate_posteriors(ds, kernel).values, one_hot)
+        assert estimate_bayes_error(ds, kernel).value == 0.0
+    assert checked >= 10
 
 
 def test_posteriors_memory_is_linear():
@@ -237,6 +266,32 @@ def test_median_bandwidth_matches_brute_force():
     mid = len(dists) // 2
     expected = dists[mid] if len(dists) % 2 else 0.5 * (dists[mid - 1] + dists[mid])
     assert median_heuristic_bandwidth(ds) == pytest.approx(expected, rel=1e-12)
+
+
+def test_median_bandwidth_equals_median_of_a_copy():
+    rng = np.random.default_rng(15)
+    for i in range(30):
+        ds = random_dataset(rng)
+        points = ds.points
+        if i % 3 == 1:
+            points = np.round(points, 1)
+        elif i % 3 == 2:
+            points = np.vstack([points, points[: ds.n // 2]])
+        ds = LabeledDataset(points, np.zeros(len(points), dtype=int), 1)
+        assert median_heuristic_bandwidth(ds) == float(np.median(pdist(ds.points)))
+
+
+def test_median_bandwidth_memory_is_one_distance_array():
+    rng = np.random.default_rng(16)
+    n = 1000
+    ds = random_dataset(rng, n=n, d=2, k=2)
+    tracemalloc.start()
+    try:
+        median_heuristic_bandwidth(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (n * (n - 1) // 2) * 8
 
 
 def test_median_bandwidth_rejects_identical_points():

@@ -43,6 +43,20 @@ def tanh_embedding(d, width=4, seed=0):
     ))
 
 
+def far_row_dataset(seed, n=20, d=2):
+    """n - 1 clustered rows and a last row 40 away from the cluster's
+    edge, whose similarity mass underflows to zero at sigma = 1. Its two
+    nearest neighbours carry labels 0 and 1 and their squared distances
+    differ by 0.1 to 0.4, so its posterior is far from one-hot."""
+    rng = np.random.default_rng(seed)
+    v, w = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+    w *= 0.5
+    offset = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.4)
+    points = np.vstack([rng.normal(size=(n - 3, d)) * 0.5, 3 * v + w, 3 * v - w, 43 * v + offset * w])
+    labels = np.concatenate([rng.integers(0, 2, n - 3), [0, 1], rng.integers(0, 2, 1)])
+    return LabeledDataset(points, labels, 2)
+
+
 def row_splits(n):
     """_CHUNK_ELEMENTS values that split an n-row pass into at least 3
     row spans: 30-row spans ending in a short one, and 1-row spans."""
@@ -52,25 +66,38 @@ def row_splits(n):
 def dense_gradient(ds, sigma):
     """Objective and gradient from the dense n x n weight matrix
     W = (C + C^T) * S / sigma^2 of the objective_and_gradient docstring,
-    in the operation order of the streamed pass."""
+    in the operation order of the streamed pass. A row whose mass is
+    below the smallest normal float64 takes its posterior and its own
+    terms of W from its similarities divided by its nearest neighbour's."""
     n, k, x, y = ds.n, ds.num_classes, ds.points, ds.labels
     diff = x[:, None, :] - x[None, :, :]
-    sims = np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
+    sq = (diff * diff).sum(axis=2)
+    sims = np.exp(-sq / (2.0 * sigma * sigma))
     np.fill_diagonal(sims, 0.0)
+    np.fill_diagonal(sq, np.inf)
+    shifted = np.exp(-(sq - sq.min(axis=1, keepdims=True)) / (2.0 * sigma * sigma))
     num = np.stack([(sims * (y == c)).sum(axis=1) for c in range(k)], axis=1)
     den = num.sum(axis=1)
-    ok = den > 0.0
-    posteriors = np.full((n, k), 1.0 / k)
-    posteriors[ok] = num[ok] / den[ok, None]
+    under = np.flatnonzero(den < np.finfo(np.float64).tiny)
+    for u in under:
+        num[u] = [(shifted[u] * (y == c)).sum() for c in range(k)]
+        den[u] = num[u].sum()
+    posteriors = num / den[:, None]
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     selected = (y[None, :] == cstar[:, None]).astype(np.float64)
-    coeff = np.zeros((n, n))
-    coeff[ok] = (selected[ok] - pstar[ok, None]) / den[ok, None]
+    coeff = (selected - pstar[:, None]) / den[:, None]
     weights = (coeff + coeff.T) * sims / (sigma * sigma)
     np.fill_diagonal(weights, 0.0)
+    wsum = weights.sum(axis=1)
     mixed = (weights[:, :, None] * x[None, :, :]).sum(axis=1)
-    return 1.0 - pstar.mean(), (weights.sum(axis=1)[:, None] * x - mixed) / n
+    for u in under:
+        own = coeff[u] * shifted[u] / (sigma * sigma)
+        wsum[u] += own.sum()
+        mixed[u] += (own[:, None] * x).sum(axis=0)
+        wsum += own
+        mixed += own[:, None] * x[u]
+    return 1.0 - pstar.mean(), (wsum[:, None] * x - mixed) / n
 
 
 def test_default_step_size():
@@ -132,20 +159,18 @@ def test_gradient_reports_exact_ties():
 def test_gradient_threads_bitwise_identical(monkeypatch):
     # at d=9 cdist's sequential sum differs from numpy's 8-wide one
     cases = [(random_dataset(6, n=120, d=d, k=3), tanh_embedding(d)) for d in (3, 9)]
-    references = [
-        [objective_and_gradient(ds, K1, embedding=e) for e in (None, embedding)]
-        for ds, embedding in cases
-    ]
+    runs = [(ds, e) for ds, embedding in cases for e in (None, embedding)]
+    runs.append((far_row_dataset(6, n=120, d=3), None))
+    references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
     for chunk in row_splits(120):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
         assert len(estimator._row_spans(120)) >= 3
         for workers in (1, 2):
             monkeypatch.setattr(estimator, "_WORKERS", workers)
-            for (ds, embedding), refs in zip(cases, references):
-                for e, reference in zip((None, embedding), refs):
-                    got = objective_and_gradient(ds, K1, embedding=e)
-                    assert got.objective == reference.objective
-                    np.testing.assert_array_equal(got.gradients, reference.gradients)
+            for (ds, e), reference in zip(runs, references):
+                got = objective_and_gradient(ds, K1, embedding=e)
+                assert got.objective == reference.objective
+                np.testing.assert_array_equal(got.gradients, reference.gradients)
 
 
 def test_gradient_matches_dense_oracle(monkeypatch):
@@ -159,10 +184,38 @@ def test_gradient_matches_dense_oracle(monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
         report = objective_and_gradient(ds, K1)
-        assert report.fallback_rows == (17,)
         assert report.objective == objective
         np.testing.assert_array_equal(report.gradients, gradients)
-    np.testing.assert_array_equal(gradients[17], [0.0, 0.0])
+
+
+def test_far_row_gradient_matches_finite_differences():
+    for seed in range(6):
+        ds = far_row_dataset(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = objective_and_gradient(ds, K1)
+            fd = finite_difference_gradient(ds, K1)
+        assert report.tied_rows == ()
+        scale = np.abs(fd).max()
+        assert np.abs(report.gradients - fd).max() / scale <= 1e-4
+        # the far row's own posterior moves with it
+        assert np.abs(report.gradients[-1]).max() > 1e-3 * scale
+
+
+@pytest.mark.parametrize("r", [37.0, 37.7, 38.6])
+def test_subnormal_mass_gradient_is_finite_and_continuous(r):
+    # row 0 votes between rows 1 and 2, and its mass is normal at r=37.0,
+    # subnormal at 37.7 and the smallest subnormal or zero at 38.6
+    ds = LabeledDataset([[0.0], [r], [-(r + 0.0037)]], [0, 0, 1], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = objective_and_gradient(ds, K1)
+        fd = finite_difference_gradient(ds, K1)
+    # rows 1 and 2 are certain of class 0; row 0 weighs its neighbours by
+    # exp(-gap / 2), gap being the difference of their squared distances
+    gap = (r + 0.0037) ** 2 - r**2
+    assert report.objective == pytest.approx(1.0 / (3.0 * (1.0 + np.exp(gap / 2.0))), rel=1e-9)
+    assert np.abs(report.gradients - fd).max() <= 1e-4 * np.abs(fd).max()
 
 
 def test_gradient_memory_is_linear():
@@ -316,19 +369,24 @@ def test_pga_deterministic_rerun():
 
 
 def test_pga_threads_bitwise_identical(monkeypatch):
-    ds = random_dataset(10, n=80, d=2)
+    # the far row's neighbours get gradients about 40x larger, so a smaller
+    # step keeps that run's ascent monotone
+    cases = [
+        (random_dataset(10, n=80, d=2), PgaConfig(step_size=0.05, max_iterations=3)),
+        (far_row_dataset(10, n=80), PgaConfig(step_size=0.002, max_iterations=3)),
+    ]
     c = PerturbationConstraint(norm_order="l2", radius=0.3)
-    config = PgaConfig(step_size=0.05, max_iterations=3)
-    reference = pga_maximize(ds, K1, c, config)
-    for chunk in row_splits(ds.n):
+    references = [pga_maximize(ds, K1, c, config) for ds, config in cases]
+    for chunk in row_splits(80):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(ds.n)) >= 3
+        assert len(estimator._row_spans(80)) >= 3
         for workers in (1, 2):
             monkeypatch.setattr(estimator, "_WORKERS", workers)
-            got = pga_maximize(ds, K1, c, config)
-            np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
-            np.testing.assert_array_equal(got.deltas, reference.deltas)
-            np.testing.assert_array_equal(got.trace, reference.trace)
+            for (ds, config), reference in zip(cases, references):
+                got = pga_maximize(ds, K1, c, config)
+                np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
+                np.testing.assert_array_equal(got.deltas, reference.deltas)
+                np.testing.assert_array_equal(got.trace, reference.trace)
 
 
 def test_pga_rejects_all_frozen():
