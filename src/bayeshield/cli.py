@@ -15,7 +15,6 @@ import json
 import sys
 import time
 import traceback
-import warnings as _warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .estimator import (
 )
 from .perturb import (
     DEFAULT_ITERATIONS,
-    StepSizeWarning,
     default_step_size,
     objective_and_gradient,
     pga_maximize,
@@ -283,7 +281,7 @@ def read_report(path) -> dict:
         return json.load(fh)
 
 
-def _run_report(args, source, results: dict, warnings, **resolved) -> None:
+def _run_report(args, source, results: dict, **resolved) -> None:
     """Write the ``--report`` JSON of a run, if one was asked for.
 
     The config echoes every flag, with the values the run resolved
@@ -301,7 +299,7 @@ def _run_report(args, source, results: dict, warnings, **resolved) -> None:
             "command": args.command,
             "input_fingerprint": _fingerprint(source),
             "config": config,
-            "results": dict(results, warnings=list(warnings)),
+            "results": results,
             "timing_seconds": time.perf_counter() - args.started,
         },
     )
@@ -358,7 +356,6 @@ def cmd_estimate(args) -> int:
             "bayes_error": estimate.value,
             "per_sample_max_posterior": estimate.per_sample_max_posterior.tolist(),
         },
-        (),
         sigma=sigma,
         sigma_source=sigma_source,
         **_dataset_shape(data),
@@ -368,8 +365,7 @@ def cmd_estimate(args) -> int:
 
 def _write_pga_outputs(result, out, deltas_path, trace_path, note: str = "") -> dict:
     """Write the perturbed dataset, its deltas and its trace; print the
-    estimate before and after, the lift and the run's warnings. Returns
-    the report results."""
+    estimate before and after and the lift. Returns the report results."""
     write_dataset_csv(out, result.perturbed)
     write_deltas_csv(deltas_path, result.deltas)
     write_trace_csv(trace_path, result.trace)
@@ -378,12 +374,11 @@ def _write_pga_outputs(result, out, deltas_path, trace_path, note: str = "") -> 
     print(f"bayes error before: {before:.6f}")
     print(f"bayes error after:  {after:.6f}")
     print(f"lift: {after / before:.4f}{note}" if before > 0 else "lift: undefined")
-    for message in result.warnings:
-        print(f"warning: {message}", file=sys.stderr)
     return {
         "bayes_error_before": before,
         "bayes_error_after": after,
         "trace": result.trace.tolist(),
+        "halvings": list(result.halvings),
     }
 
 
@@ -409,7 +404,6 @@ def cmd_perturb(args) -> int:
         args,
         args.dataset,
         results,
-        result.warnings,
         sigma=sigma,
         sigma_source=sigma_source,
         eta=float(eta),
@@ -451,7 +445,6 @@ def cmd_gradcheck(args) -> int:
             "tied_rows": list(report.tied_rows),
             "passed": passed,
         },
-        (),
         sigma=sigma,
         sigma_source=sigma_source,
         **_dataset_shape(data),
@@ -469,7 +462,7 @@ def cmd_gen(args) -> int:
         del args.noise  # the truncated normals take no jitter; keep it out of the echo
     write_dataset_csv(args.out, data)
     print(f"{args.generator} dataset with n={data.n} written to {args.out}")
-    _run_report(args, args.out, _dataset_shape(data), ())
+    _run_report(args, args.out, _dataset_shape(data))
     return EXIT_OK
 
 
@@ -504,7 +497,6 @@ def _demo_truncnorm(args, outdir: Path) -> int:
             "sample_estimate": estimate.value,
             "absolute_difference": diff,
         },
-        (),
         n=n,
         sigma=sigma,
         sigma_source="median-heuristic",
@@ -532,7 +524,6 @@ def _demo_moons(args, outdir: Path) -> int:
         args,
         paths[0],
         dict(results, lift=results["bayes_error_after"] / results["bayes_error_before"]),
-        result.warnings,
         n=n,
         noise=noise,
         sigma=sigma,
@@ -628,10 +619,7 @@ def main(argv=None) -> int:
         args.n = 200 if args.generator == "moons" else 2000
     args.started = time.perf_counter()
     try:
-        # a run prints its own warnings, so the library's copies are not shown
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", StepSizeWarning)
-            return args.handler(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER

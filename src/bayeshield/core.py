@@ -192,14 +192,16 @@ class PgaResult:
     ``perturbed.points`` equals the original points plus ``deltas``,
     exactly. ``trace`` holds the objective per iteration: entry 0 is the
     unperturbed estimate and the last entry is the estimate recomputed
-    on the returned dataset. ``warnings`` carries the step-size
-    diagnostic when the trace decreased.
+    on the returned dataset; no entry falls below the one before it by
+    more than rounding. ``halvings`` counts each step's halvings, with one
+    over the limit for a step that never stopped lowering the estimate
+    and for every step after it, whose trace entries repeat the last.
     """
 
     perturbed: LabeledDataset
     deltas: np.ndarray
     trace: np.ndarray
-    warnings: tuple = ()
+    halvings: tuple = ()
 
     def __post_init__(self) -> None:
         deltas = _frozen_array(self.deltas, np.float64)
@@ -215,4 +217,4 @@ class PgaResult:
             raise ValueError("trace contains non-finite values")
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "warnings", tuple(str(w) for w in self.warnings))
+        object.__setattr__(self, "halvings", tuple(int(h) for h in self.halvings))

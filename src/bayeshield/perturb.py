@@ -10,7 +10,6 @@ of clean and perturbed data.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,12 @@ PROJECTION_SLACK = 1e-12
 # rather than as a step too large for monotone ascent.
 MONOTONE_SLACK = 1e-9
 
+# Halvings of a rejected ascent step before the ascent stops. Each costs
+# one pairwise pass, so a stalled step costs at most 31 passes, and a
+# factor of 2^-30 (about 1e-9) still brings a step up to a billion times
+# too large down to one that ascends.
+MAX_HALVINGS = 30
+
 # Default step size is STEP_SCALE * n * radius: the gradient of the
 # averaged objective shrinks like 1/n, so a useful step must grow with
 # n, and scaling with the radius keeps the per-iteration displacement
@@ -46,7 +51,8 @@ DEFAULT_ITERATIONS = 100
 
 
 class StepSizeWarning(RuntimeWarning):
-    """The objective trace decreased by more than MONOTONE_SLACK."""
+    """Never raised, as ascent halves every step that would lower the
+    estimate; kept because the benchmark's tests name it in a filter."""
 
 
 @dataclass(frozen=True)
@@ -217,19 +223,18 @@ def pga_maximize(
 ) -> PgaResult:
     """Projected gradient ascent on the Bayes error estimate.
 
-    Starts from zero perturbation. Every iteration computes the
-    gradient report on the current points (through ``embedding`` when
-    given), zeroes the rows of frozen indices, takes a step of
-    ``config.step_size``, and projects each row's cumulative
-    perturbation onto the constraint ball. Labels never change.
+    Starts from zero perturbation. Each step takes the gradient on the
+    current points (through ``embedding`` when given), zeroes the rows of
+    frozen indices, steps by ``config.step_size`` and projects each row's
+    cumulative perturbation onto the constraint ball. A step that lowers
+    the estimate by more than MONOTONE_SLACK is discarded and retried at
+    half the size from the same deltas and gradient; one still rejected
+    after MAX_HALVINGS halvings keeps the deltas and ends the ascent.
+    Labels never change.
 
-    The returned trace has ``max_iterations + 1`` entries: entry t is
-    the estimate before step t and the final entry is the estimate
-    recomputed from scratch on the returned dataset (bit-equal to
-    calling the estimator on it). If the trace decreases by more than
-    MONOTONE_SLACK in any step, a StepSizeWarning is issued
-    and recorded in the result; ascent is only guaranteed for step
-    sizes below 2/kappa, with kappa the kernel's upper bound.
+    The trace has ``max_iterations + 1`` entries: entry t is the estimate
+    before step t and the last is the estimate of the returned dataset,
+    bit-equal to calling the estimator on it.
     """
     n = data.n
     if any(i >= n for i in constraint.frozen):
@@ -238,40 +243,43 @@ def pga_maximize(
         raise ValueError(f"all {n} samples are frozen; nothing to perturb")
 
     frozen_rows = np.fromiter(sorted(constraint.frozen), dtype=np.int64, count=len(constraint.frozen))
+    iterations = config.max_iterations
+
+    def evaluate(deltas: np.ndarray, last: bool) -> tuple:
+        # the next step's gradient pass scores a candidate, the estimate the last
+        points = data.with_points(data.points + deltas)
+        if last:
+            target = points if embedding is None else embed_dataset(embedding, points)
+            return estimate_bayes_error(target, kernel).value, None
+        report = objective_and_gradient(points, kernel, embedding)
+        return report.objective, report
+
     deltas = np.zeros_like(data.points)
-    trace = []
-    run_warnings = []
+    value, report = evaluate(deltas, iterations == 0)
+    trace, halvings = [value], []
 
-    for _ in range(config.max_iterations):
-        report = objective_and_gradient(data.with_points(data.points + deltas), kernel, embedding)
-        trace.append(report.objective)
+    for t in range(iterations):
         grads = report.gradients.copy()
-        if frozen_rows.size:
-            grads[frozen_rows] = 0.0
-        deltas = _project_rows(deltas + config.step_size * grads, constraint)
-
-    final_points = data.points + deltas
-    perturbed = data.with_points(final_points)
-    final = estimate_bayes_error(
-        perturbed if embedding is None else embed_dataset(embedding, perturbed), kernel
-    )
-    trace.append(final.value)
-
-    trace_arr = np.asarray(trace)
-    drops = np.flatnonzero(np.diff(trace_arr) < -MONOTONE_SLACK)
-    if drops.size:
-        worst = float(np.diff(trace_arr).min())
-        msg = (
-            f"objective decreased at {drops.size} step(s) (worst {worst:.3e}); "
-            f"step size {config.step_size} is too large for monotone ascent, "
-            "which holds only below 2/kappa for the kernel bound kappa"
-        )
-        _warnings.warn(msg, StepSizeWarning, stacklevel=2)
-        run_warnings.append(msg)
+        grads[frozen_rows] = 0.0
+        step = config.step_size
+        for halved in range(MAX_HALVINGS + 1):
+            candidate = _project_rows(deltas + step * grads, constraint)
+            value, candidate_report = evaluate(candidate, t == iterations - 1)
+            if value >= trace[-1] - MONOTONE_SLACK:
+                break
+            step /= 2
+        else:
+            # the run is deterministic: every later step would retry these candidates
+            trace.extend([trace[-1]] * (iterations - t))
+            halvings.extend([MAX_HALVINGS + 1] * (iterations - t))
+            break
+        deltas, report = candidate, candidate_report
+        trace.append(value)
+        halvings.append(halved)
 
     return PgaResult(
-        perturbed=perturbed,
+        perturbed=data.with_points(data.points + deltas),
         deltas=deltas,
-        trace=trace_arr,
-        warnings=tuple(run_warnings),
+        trace=np.asarray(trace),
+        halvings=tuple(halvings),
     )

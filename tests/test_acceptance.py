@@ -11,7 +11,6 @@ import statistics
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from bayeshield.estimator import (
     median_heuristic_bandwidth,
 )
 from bayeshield.perturb import (
-    StepSizeWarning,
     default_step_size,
     objective_and_gradient,
     pga_maximize,
@@ -88,9 +86,7 @@ def _moons_lift(norm, eps, seed):
     kernel = SimilarityKernel(bandwidth=MOONS_BANDWIDTH)
     constraint = PerturbationConstraint(norm_order=norm, radius=eps)
     config = PgaConfig(step_size=default_step_size(200, eps), max_iterations=100)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StepSizeWarning)
-        result = pga_maximize(data, kernel, constraint, config)
+    result = pga_maximize(data, kernel, constraint, config)
     return result.trace[-1] / result.trace[0]
 
 
@@ -128,36 +124,29 @@ def test_criterion_3_monotone_ascent():
     started = time.perf_counter()
     rng = np.random.default_rng(12345)
     eps = 0.2
+    # a step of 10 * eps lowers the estimate on 10 of these 20 datasets
+    # when it is never halved
+    eta = 10 * eps
     failed_cases = []
+    halved_steps = 0
     for case in range(20):
         n = int(rng.integers(6, 51))
         d = int(rng.integers(1, 6))
         k = int(rng.integers(2, 4))
         data = LabeledDataset(rng.normal(size=(n, d)), rng.integers(0, k, n), k)
         constraint = PerturbationConstraint(norm_order="l2", radius=eps)
-        found = False
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            for halving in range(6):
-                eta = 0.1 * eps / (2**halving)
-                result = pga_maximize(
-                    data,
-                    K1,
-                    constraint,
-                    PgaConfig(step_size=eta, max_iterations=25),
-                )
-                trace = np.asarray(result.trace)
-                if np.diff(trace).min() >= -1e-9 and trace[-1] >= trace[0]:
-                    found = True
-                    break
-        if not found:
+        result = pga_maximize(data, K1, constraint, PgaConfig(step_size=eta, max_iterations=25))
+        trace = np.asarray(result.trace)
+        if np.diff(trace).min() < -1e-9 or trace[-1] < trace[0]:
             failed_cases.append(case)
+        halved_steps += sum(h > 0 for h in result.halvings)
     _finish(
         3,
         not failed_cases,
         time.perf_counter() - started,
         30,
-        f"20 datasets, eta halving from {0.1 * eps:g}, failures: {failed_cases or 'none'}",
+        f"20 datasets at eta={eta:g}, {halved_steps} halved steps, "
+        f"failures: {failed_cases or 'none'}",
     )
 
 
@@ -236,9 +225,7 @@ def test_criterion_5_frozen_mix():
         config = PgaConfig(
             step_size=default_step_size(200, 0.25), max_iterations=100
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            result = pga_maximize(data, kernel, constraint, config)
+        result = pga_maximize(data, kernel, constraint, config)
         gained = result.trace[-1] >= result.trace[0]
         rows = sorted(frozen)
         untouched = bool(

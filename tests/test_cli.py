@@ -396,18 +396,25 @@ def test_perturb_out_of_range_frozen_index_exits_2(tmp_path, capsys):
     assert "nothing to perturb" not in err
 
 
-def test_perturb_step_size_warning_printed_once(tmp_path):
+def test_perturb_huge_eta_halves_steps_and_ascends(tmp_path):
     data_path = tmp_path / "moons.csv"
+    report_path = tmp_path / "report.json"
     assert main(["gen", "moons", "--n", "40", "--seed", "0", "--out", str(data_path)]) == 0
     result = subprocess.run(
         [sys.executable, "-m", "bayeshield", "perturb", str(data_path), "--eps", "0.25",
-         "--eta", "500", "--iters", "5", "--out", str(tmp_path / "out.csv")],
+         "--eta", "500", "--iters", "5", "--out", str(tmp_path / "out.csv"),
+         "--report", str(report_path)],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0
-    assert result.stderr.count("objective decreased") == 1
-    assert result.stderr.startswith("warning: objective decreased")
+    assert result.stderr == ""
+    trace = read_trace_csv(tmp_path / "out.trace.csv")
+    assert np.diff(trace).min() >= -1e-9
+    assert trace[-1] >= trace[0]
+    halvings = read_report(report_path)["results"]["halvings"]
+    assert len(halvings) == 5
+    assert max(halvings) > 0
 
 
 def test_deeply_nested_embedding_exits_2(tmp_path, capsys):

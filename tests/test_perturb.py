@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bayeshield import estimator
+from bayeshield import estimator, perturb
 from bayeshield.core import (
     LabeledDataset,
     PerturbationConstraint,
@@ -14,7 +14,7 @@ from bayeshield.core import (
 from bayeshield.embed import EmbeddingLayer, EmbeddingMap, embed_dataset
 from bayeshield.estimator import estimate_bayes_error, estimate_posteriors
 from bayeshield.perturb import (
-    StepSizeWarning,
+    MAX_HALVINGS,
     _project_rows,
     default_step_size,
     objective_and_gradient,
@@ -318,7 +318,7 @@ def test_pga_small_step_monotone():
     diffs = np.diff(np.asarray(result.trace))
     assert diffs.min() >= -1e-9
     assert result.trace[-1] >= result.trace[0]
-    assert result.warnings == ()
+    assert result.halvings == (0,) * 15
 
 
 def test_pga_frozen_rows_untouched():
@@ -348,14 +348,74 @@ def test_pga_iterates_stay_feasible():
         assert np.abs(result.deltas).max() <= 0.2 + 1e-12
 
 
-def test_pga_huge_step_warns():
+def assert_ascends(trace):
+    trace = np.asarray(trace)
+    assert np.diff(trace).min() >= -1e-9
+    assert trace[-1] >= trace[0]
+
+
+def count_passes(monkeypatch):
+    """Count the gradient passes and the estimator passes of PGA runs."""
+    calls = {"gradient": 0, "estimate": 0}
+
+    def counted(name, module, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("objective_and_gradient", perturb, "gradient")
+    counted("estimate_posteriors", estimator, "estimate")
+    return calls
+
+
+def test_pga_huge_step_halves_and_ascends():
     ds = random_dataset(7, n=14, d=2)
     c = PerturbationConstraint(norm_order="l2", radius=0.5)
     config = PgaConfig(step_size=50.0, max_iterations=12)
-    with pytest.warns(StepSizeWarning, match="2/kappa"):
-        result = pga_maximize(ds, K1, c, config)
-    assert result.warnings
-    assert "step" in result.warnings[0]
+    result = pga_maximize(ds, K1, c, config)
+    assert_ascends(result.trace)
+    assert len(result.halvings) == 12
+    assert 0 < max(result.halvings) <= MAX_HALVINGS
+
+
+def test_pga_far_row_ascends():
+    # one far row makes its neighbours' gradients steep; without halving
+    # this step oscillates
+    ds = far_row_dataset(10, n=80)
+    c = PerturbationConstraint(norm_order="l2", radius=0.3)
+    result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.05, max_iterations=10))
+    assert_ascends(result.trace)
+    assert result.trace[-1] > result.trace[0]
+    assert max(result.halvings) > 0
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+def test_pga_stalled_step_keeps_deltas(monkeypatch, iterations):
+    rng = np.random.default_rng(1)
+    ds = LabeledDataset(rng.normal(size=(12, 2)), rng.integers(0, 2, 12), 2)
+    c = PerturbationConstraint(norm_order="l2", radius=0.5)
+    calls = count_passes(monkeypatch)
+    # every halving of this step still saturates the budget and lowers the estimate
+    result = pga_maximize(ds, K1, c, PgaConfig(step_size=1e300, max_iterations=iterations))
+    assert calls["gradient"] + calls["estimate"] <= MAX_HALVINGS + 2
+    np.testing.assert_array_equal(result.deltas, np.zeros((12, 2)))
+    np.testing.assert_array_equal(result.perturbed.points, ds.points)
+    assert np.all(result.trace == estimate_bayes_error(ds, K1).value)
+    assert len(result.trace) == iterations + 1
+    assert result.halvings == (MAX_HALVINGS + 1,) * iterations
+
+
+def test_pga_without_halvings_makes_one_pass_per_step(monkeypatch):
+    ds = random_dataset(2, n=12, d=2)
+    c = PerturbationConstraint(norm_order="l2", radius=0.3)
+    calls = count_passes(monkeypatch)
+    result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=15))
+    assert result.halvings == (0,) * 15
+    assert calls == {"gradient": 15, "estimate": 1}
 
 
 def test_pga_deterministic_rerun():
@@ -369,11 +429,9 @@ def test_pga_deterministic_rerun():
 
 
 def test_pga_threads_bitwise_identical(monkeypatch):
-    # the far row's neighbours get gradients about 40x larger, so a smaller
-    # step keeps that run's ascent monotone
     cases = [
         (random_dataset(10, n=80, d=2), PgaConfig(step_size=0.05, max_iterations=3)),
-        (far_row_dataset(10, n=80), PgaConfig(step_size=0.002, max_iterations=3)),
+        (far_row_dataset(10, n=80), PgaConfig(step_size=0.05, max_iterations=3)),
     ]
     c = PerturbationConstraint(norm_order="l2", radius=0.3)
     references = [pga_maximize(ds, K1, c, config) for ds, config in cases]
@@ -387,6 +445,7 @@ def test_pga_threads_bitwise_identical(monkeypatch):
                 np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
                 np.testing.assert_array_equal(got.deltas, reference.deltas)
                 np.testing.assert_array_equal(got.trace, reference.trace)
+                assert got.halvings == reference.halvings
 
 
 def test_pga_rejects_all_frozen():
