@@ -85,24 +85,42 @@ def _row_spans(n: int) -> list:
 
 
 def _run_row_spans(fill, n: int) -> None:
-    """Call ``fill((lo, hi))`` on every row span of an n-row pairwise
-    pass, on ``_WORKERS`` threads when that splits the work."""
+    """Call ``fill((lo, hi), scratch)`` on every row span of an n-row
+    pairwise pass, on up to ``_WORKERS`` threads.
+
+    Worker w takes the interleaved group ``spans[w::workers]`` and
+    allocates two (span rows, n) float64 arrays once; ``scratch`` holds
+    their first hi - lo rows, so a fill writes its span temporaries into
+    memory that stays mapped for the whole pass, and the pass holds
+    O(workers * n * span rows) scratch.
+    """
     spans = _row_spans(n)
-    if _WORKERS > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-            list(pool.map(fill, spans))
+    rows = spans[0][1] - spans[0][0]
+    workers = min(_WORKERS, len(spans))
+
+    def run(group) -> None:
+        buffers = np.empty((2, rows, n))
+        for lo, hi in group:
+            fill((lo, hi), buffers[:, : hi - lo])
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, [spans[w::workers] for w in range(workers)]))
     else:
-        for span in spans:
-            fill(span)
+        run(spans)
 
 
-def _similarity_rows(points: np.ndarray, lo: int, hi: int, bandwidth: float) -> np.ndarray:
-    """Rows lo:hi of the Gaussian similarity matrix, with zero diagonal.
+def _similarity_rows(
+    points: np.ndarray, lo: int, hi: int, bandwidth: float, out: np.ndarray
+) -> np.ndarray:
+    """Rows lo:hi of the Gaussian similarity matrix, with zero diagonal,
+    written into ``out``, a C-contiguous (hi - lo, n) float64 array.
 
     ``cdist`` sums each squared distance over the coordinates in a fixed
-    order, so a row's values do not depend on the span it is computed in.
+    order, so a row's values do not depend on the span it is computed in
+    or on the array it is written to.
     """
-    block = cdist(points[lo:hi], points, "sqeuclidean")
+    block = cdist(points[lo:hi], points, "sqeuclidean", out=out)
     np.negative(block, out=block)
     block /= 2.0 * bandwidth * bandwidth
     np.exp(block, out=block)
@@ -142,11 +160,11 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     num = np.empty((n, k))
     masks = [labels == c for c in range(k)]
 
-    def fill(span) -> None:
+    def fill(span, scratch) -> None:
         lo, hi = span
-        sims = _similarity_rows(coords, lo, hi, bandwidth)
+        sims = _similarity_rows(coords, lo, hi, bandwidth, out=scratch[0])
         for c, mask in enumerate(masks):
-            num[lo:hi, c] = (sims * mask).sum(axis=1)
+            num[lo:hi, c] = np.multiply(sims, mask, out=scratch[1]).sum(axis=1)
 
     _run_row_spans(fill, n)
     den = num.sum(axis=1)

@@ -141,15 +141,17 @@ def objective_and_gradient(
     wsum = np.empty(n)
     mixed = np.empty_like(coords)
 
-    def fill(span) -> None:
+    # labels lie in [0, K), so "clip" moves no index; under the default
+    # "raise", take fills ``out`` through a fresh copy
+    def fill(span, scratch) -> None:
         lo, hi = span
-        weights = table[lo:hi].take(data.labels, axis=1)
-        weights += table_by_class[data.labels[lo:hi]]
-        weights *= _similarity_rows(coords, lo, hi, sigma)
+        weights = np.take(table[lo:hi], data.labels, axis=1, out=scratch[0], mode="clip")
+        weights += np.take(table_by_class, data.labels[lo:hi], axis=0, out=scratch[1], mode="clip")
+        weights *= _similarity_rows(coords, lo, hi, sigma, out=scratch[1])
         weights /= sigma * sigma
         weights[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        wsum[lo:hi] = weights.sum(axis=1)
-        mixed[lo:hi] = np.einsum("ij,jk->ik", weights, coords)
+        weights.sum(axis=1, out=wsum[lo:hi])
+        np.einsum("ij,jk->ik", weights, coords, out=mixed[lo:hi])
 
     _run_row_spans(fill, n)
     # an underflowing row u streamed its own terms below float64's normal

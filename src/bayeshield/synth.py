@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, truncnorm
 
 from .core import LabeledDataset, SimilarityKernel
 from .embed import EmbeddingMap, embed_dataset
@@ -56,6 +55,9 @@ class TruncatedNormal:
 
     def pdf(self, x) -> np.ndarray:
         """Density, zero outside the truncation interval."""
+        # scipy.stats doubles the package's import time; only these helpers need it
+        from scipy.stats import norm
+
         xv = np.asarray(x, dtype=np.float64)
         mass = norm.cdf(self.upper, self.mean, self.std) - norm.cdf(
             self.lower, self.mean, self.std
@@ -65,6 +67,8 @@ class TruncatedNormal:
 
     def ppf(self, u) -> np.ndarray:
         """Inverse CDF, used for deterministic sampling."""
+        from scipy.stats import truncnorm
+
         a, b = self._standardized()
         return truncnorm.ppf(u, a, b, loc=self.mean, scale=self.std)
 

@@ -181,11 +181,12 @@ def test_threads_do_not_change_bits(monkeypatch):
         (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
         for ds in cases
     ]
-    # 30-row spans end in a short one; 1-row spans are the finest split
-    for chunk in (150 * 30, 1):
+    # 30-row spans end in a short one; 1-row spans are the finest split;
+    # 100-row spans make two, the last short, fewer than three workers
+    for chunk in (150 * 30, 1, 150 * 100):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(150)) >= 3
-        for workers in (1, 2):
+        assert len(estimator._row_spans(150)) >= 2
+        for workers in (1, 2, 3):
             monkeypatch.setattr(estimator, "_WORKERS", workers)
             for ds, (reference, value) in zip(cases, references):
                 got = estimate_posteriors(ds, kernel)

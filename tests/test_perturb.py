@@ -58,9 +58,10 @@ def far_row_dataset(seed, n=20, d=2):
 
 
 def row_splits(n):
-    """_CHUNK_ELEMENTS values that split an n-row pass into at least 3
-    row spans: 30-row spans ending in a short one, and 1-row spans."""
-    return (n * 30, 1)
+    """_CHUNK_ELEMENTS values that split an n-row pass into 30-row spans
+    ending in a short one, into 1-row spans, and into two spans, the last
+    one short, which is fewer spans than the 3 workers of the thread tests."""
+    return (n * 30, 1, n * (2 * n // 3))
 
 
 def dense_gradient(ds, sigma):
@@ -164,8 +165,9 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
     references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
     for chunk in row_splits(120):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(120)) >= 3
-        for workers in (1, 2):
+        assert len(estimator._row_spans(120)) >= 2
+        # three workers get groups of uneven length
+        for workers in (1, 2, 3):
             monkeypatch.setattr(estimator, "_WORKERS", workers)
             for (ds, e), reference in zip(runs, references):
                 got = objective_and_gradient(ds, K1, embedding=e)
@@ -437,8 +439,9 @@ def test_pga_threads_bitwise_identical(monkeypatch):
     references = [pga_maximize(ds, K1, c, config) for ds, config in cases]
     for chunk in row_splits(80):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(80)) >= 3
-        for workers in (1, 2):
+        assert len(estimator._row_spans(80)) >= 2
+        # three workers get groups of uneven length
+        for workers in (1, 2, 3):
             monkeypatch.setattr(estimator, "_WORKERS", workers)
             for (ds, config), reference in zip(cases, references):
                 got = pga_maximize(ds, K1, c, config)

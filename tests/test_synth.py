@@ -1,3 +1,8 @@
+import json
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,6 +19,40 @@ from bayeshield.synth import (
 )
 
 K1 = SimilarityKernel(bandwidth=1.0)
+
+
+IMPORT_GUARD = """
+import json, sys
+import bayeshield, bayeshield.cli
+loaded = "scipy.stats" in sys.modules
+from bayeshield.synth import TruncatedNormal, analytic_bayes_error, canonical_truncated_normal_pair
+tn = TruncatedNormal(mean=0.0, std=1.0, lower=-3.0, upper=3.0)
+print(json.dumps({
+    "loaded_on_import": loaded,
+    "pdf": tn.pdf([-4.0, -3.0, 0.0, 1.5, 3.0]).tolist(),
+    "ppf": tn.ppf([0.0, 0.25, 0.5, 1.0]).tolist(),
+    "canonical": analytic_bayes_error(canonical_truncated_normal_pair()),
+}))
+"""
+
+
+def test_package_import_leaves_scipy_stats_to_the_truncated_normal():
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD], capture_output=True, text=True, check=True
+    )
+    got = json.loads(result.stdout)
+    assert got["loaded_on_import"] is False
+    # the lazily imported helpers give the same values as in this process
+    tn = TruncatedNormal(mean=0.0, std=1.0, lower=-3.0, upper=3.0)
+    assert got["pdf"] == tn.pdf([-4.0, -3.0, 0.0, 1.5, 3.0]).tolist()
+    assert got["ppf"] == tn.ppf([0.0, 0.25, 0.5, 1.0]).tolist()
+    mass = math.erf(3.0 / math.sqrt(2.0))
+    density = [math.exp(-x * x / 2) / math.sqrt(2 * math.pi) for x in (-3.0, 0.0, 1.5, 3.0)]
+    expected = [0.0] + [v / mass for v in density]
+    assert got["pdf"] == pytest.approx(expected, rel=1e-12)
+    assert got["ppf"][0] == -3.0 and got["ppf"][3] == 3.0
+    assert got["ppf"][2] == pytest.approx(0.0, abs=1e-12)
+    assert got["canonical"] == pytest.approx(0.1427, abs=0.0005)
 
 
 def test_analytic_identical_distributions():
