@@ -21,19 +21,15 @@ from .embed import (
     EmbeddingMap,
     embed_dataset,
     embed_points,
-    identity_map,
     load_embedding,
     pullback_gradients,
     save_embedding,
 )
 from .estimator import (
     BayesErrorEstimate,
-    UndefinedPosteriorError,
     estimate_bayes_error,
     estimate_posteriors,
-    gaussian_similarity,
     median_heuristic_bandwidth,
-    naive_posterior,
 )
 from .perturb import (
     GradientReport,
@@ -71,7 +67,6 @@ __all__ = [
     "StepSizeWarning",
     "TruncatedNormal",
     "TruncatedNormalPairSpec",
-    "UndefinedPosteriorError",
     "analytic_bayes_error",
     "canonical_truncated_normal_pair",
     "default_step_size",
@@ -80,12 +75,9 @@ __all__ = [
     "estimate_bayes_error",
     "estimate_posteriors",
     "finite_difference_gradient",
-    "gaussian_similarity",
     "generate_moons",
-    "identity_map",
     "load_embedding",
     "median_heuristic_bandwidth",
-    "naive_posterior",
     "objective_and_gradient",
     "pga_maximize",
     "project",

@@ -33,6 +33,7 @@ from .estimator import (
 )
 from .perturb import (
     DEFAULT_ITERATIONS,
+    STEP_SCALE,
     default_step_size,
     objective_and_gradient,
     pga_maximize,
@@ -575,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     per.add_argument("--norm", choices=list(NORM_ORDERS), default="l2", help="budget norm")
     per.add_argument(
         "--eta", type=float, default=None,
-        help="ascent step size (default: 0.0036 * n * eps)",
+        help=f"ascent step size (default: {STEP_SCALE} * n * eps)",
     )
     per.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS, help="gradient steps")
     per.add_argument("--frozen", default=None, help="file of indices pinned to zero")

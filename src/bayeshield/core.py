@@ -84,8 +84,9 @@ class LabeledDataset:
 class SimilarityKernel:
     """Gaussian pairwise similarity of bandwidth sigma.
 
-    It evaluates exp(-||a - b||^2 / (2 sigma^2)), which is symmetric in
-    its arguments, bounded in (0, 1], and equals 1 exactly when a = b.
+    The streamed pairwise pass evaluates it as exp(-||a - b||^2 /
+    (2 sigma^2)), which is symmetric in its arguments, bounded in (0, 1],
+    and equals 1 exactly when a = b.
     """
 
     bandwidth: float

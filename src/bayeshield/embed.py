@@ -76,14 +76,6 @@ class EmbeddingMap:
         return self.layers[-1].weight.shape[0]
 
 
-def identity_map(dim: int) -> EmbeddingMap:
-    """The identity embedding on ``dim`` coordinates."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    layer = EmbeddingLayer(np.eye(dim), np.zeros(dim), "identity")
-    return EmbeddingMap((layer,))
-
-
 def _activate(z: np.ndarray, name: str) -> np.ndarray:
     if name == "identity":
         return z

@@ -3,9 +3,7 @@
 For each sample the posterior over classes is a kernel-weighted vote of
 all other samples (a Nadaraya-Watson style local average; the sample
 itself never votes). The Bayes error estimate is one minus the mean of
-the per-sample maximum posterior. A naive exact-match frequency
-posterior is included as a contrast baseline; it is undefined off the
-sample support, which is the failure mode the kernel estimator removes.
+the per-sample maximum posterior.
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ else:
     _WORKERS = os.cpu_count() or 1
 
 
-class UndefinedPosteriorError(ValueError):
-    """The exact-match frequency posterior has no support at the query."""
-
-
 @dataclass(frozen=True)
 class BayesErrorEstimate:
     """Estimated Bayes error together with its per-sample evidence.
@@ -61,24 +55,6 @@ class BayesErrorEstimate:
         object.__setattr__(self, "per_sample_max_posterior", pmax)
 
 
-def gaussian_similarity(a, b, bandwidth: float) -> float:
-    """Gaussian similarity exp(-||a - b||^2 / (2 bandwidth^2)) of two vectors.
-
-    Symmetric in (a, b), in (0, 1], and exactly 1 when a equals b.
-    """
-    av = np.asarray(a, dtype=np.float64).ravel()
-    bv = np.asarray(b, dtype=np.float64).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        raise ValueError("inputs must be finite")
-    bw = float(bandwidth)
-    if not np.isfinite(bw) or bw <= 0:
-        raise ValueError(f"bandwidth must be a positive finite real, got {bw}")
-    diff = av - bv
-    return float(np.exp(-(diff * diff).sum() / (2.0 * bw * bw)))
-
-
 def _row_spans(n: int) -> list:
     chunk = max(1, _CHUNK_ELEMENTS // n)
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
@@ -86,7 +62,8 @@ def _row_spans(n: int) -> list:
 
 def _run_row_spans(fill, n: int) -> None:
     """Call ``fill((lo, hi), scratch)`` on every row span of an n-row
-    pairwise pass, on up to ``_WORKERS`` threads.
+    pairwise pass, on a pool of ``min(_WORKERS, spans)`` threads; a
+    single-span pass also runs on one pool thread.
 
     Worker w takes the interleaved group ``spans[w::workers]`` and
     allocates two (span rows, n) float64 arrays once; ``scratch`` holds
@@ -103,11 +80,8 @@ def _run_row_spans(fill, n: int) -> None:
         for lo, hi in group:
             fill((lo, hi), buffers[:, : hi - lo])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, [spans[w::workers] for w in range(workers)]))
-    else:
-        run(spans)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, [spans[w::workers] for w in range(workers)]))
 
 
 def _similarity_rows(
@@ -192,27 +166,6 @@ def estimate_bayes_error(data: LabeledDataset, kernel: SimilarityKernel) -> Baye
     posteriors = estimate_posteriors(data, kernel)
     pmax = posteriors.values.max(axis=1)
     return BayesErrorEstimate(value=float(1.0 - pmax.mean()), per_sample_max_posterior=pmax)
-
-
-def naive_posterior(data: LabeledDataset, query) -> np.ndarray:
-    """Exact-match frequency posterior at ``query``.
-
-    Counts, among samples whose coordinates equal the query exactly,
-    the frequency of every class. Raises UndefinedPosteriorError when
-    no sample matches, which is the inherent gap of this baseline.
-    """
-    q = np.asarray(query, dtype=np.float64).ravel()
-    if q.shape != (data.d,):
-        raise ValueError(f"query shape {q.shape} does not match d={data.d}")
-    matches = np.all(data.points == q, axis=1)
-    total = int(matches.sum())
-    if total == 0:
-        raise UndefinedPosteriorError(
-            "no sample coincides with the query point; the frequency "
-            "posterior is undefined there"
-        )
-    counts = np.bincount(data.labels[matches], minlength=data.num_classes)
-    return counts / total
 
 
 def median_heuristic_bandwidth(data: LabeledDataset) -> float:

@@ -226,13 +226,13 @@ def pga_maximize(
     """Projected gradient ascent on the Bayes error estimate.
 
     Starts from zero perturbation. Each step takes the gradient on the
-    current points (through ``embedding`` when given), zeroes the rows of
-    frozen indices, steps by ``config.step_size`` and projects each row's
-    cumulative perturbation onto the constraint ball. A step that lowers
-    the estimate by more than MONOTONE_SLACK is discarded and retried at
-    half the size from the same deltas and gradient; one still rejected
-    after MAX_HALVINGS halvings keeps the deltas and ends the ascent.
-    Labels never change.
+    current points (through ``embedding`` when given), steps by
+    ``config.step_size``, projects each row's cumulative perturbation
+    onto the constraint ball and zeroes the rows of frozen indices. A
+    step that lowers the estimate by more than MONOTONE_SLACK is
+    discarded and retried at half the size from the same deltas and
+    gradient; one still rejected after MAX_HALVINGS halvings keeps the
+    deltas and ends the ascent. Labels never change.
 
     The trace has ``max_iterations + 1`` entries: entry t is the estimate
     before step t and the last is the estimate of the returned dataset,
@@ -261,11 +261,10 @@ def pga_maximize(
     trace, halvings = [value], []
 
     for t in range(iterations):
-        grads = report.gradients.copy()
-        grads[frozen_rows] = 0.0
         step = config.step_size
         for halved in range(MAX_HALVINGS + 1):
-            candidate = _project_rows(deltas + step * grads, constraint)
+            candidate = _project_rows(deltas + step * report.gradients, constraint)
+            candidate[frozen_rows] = 0.0
             value, candidate_report = evaluate(candidate, t == iterations - 1)
             if value >= trace[-1] - MONOTONE_SLACK:
                 break

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,3 +107,15 @@ def test_pga_result_validation():
         PgaResult(perturbed=ds, deltas=[[0.0, 0.0]], trace=[0.1])
     with pytest.raises(ValueError, match="trace"):
         PgaResult(perturbed=ds, deltas=[[0.0], [0.0]], trace=[])
+
+
+def test_star_import_resolves_every_public_name():
+    # a name left in __all__ after its object is gone fails the star import
+    code = (
+        "import bayeshield\n"
+        "from bayeshield import *\n"
+        "print(all(n in globals() for n in bayeshield.__all__))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"

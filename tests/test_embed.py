@@ -16,7 +16,6 @@ from bayeshield.embed import (
     EmbeddingMap,
     embed_dataset,
     embed_points,
-    identity_map,
     load_embedding,
     pullback_gradients,
     save_embedding,
@@ -25,6 +24,10 @@ from bayeshield.perturb import objective_and_gradient, pga_maximize
 from bayeshield.synth import finite_difference_gradient
 
 K1 = SimilarityKernel(bandwidth=1.0)
+
+
+def identity_map(dim):
+    return EmbeddingMap((EmbeddingLayer(np.eye(dim), np.zeros(dim), "identity"),))
 
 
 def affine_map():

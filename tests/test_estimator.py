@@ -8,12 +8,9 @@ from scipy.spatial.distance import pdist
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
 from bayeshield.estimator import (
-    UndefinedPosteriorError,
     estimate_bayes_error,
     estimate_posteriors,
-    gaussian_similarity,
     median_heuristic_bandwidth,
-    naive_posterior,
 )
 
 K1 = SimilarityKernel(bandwidth=1.0)
@@ -30,31 +27,6 @@ def random_dataset(rng, n=None, d=None, k=None):
     points = rng.normal(size=(n, d)) * float(10.0 ** rng.uniform(-1, 1))
     labels = rng.integers(0, k, size=n)
     return LabeledDataset(points, labels, k)
-
-
-def test_gaussian_similarity_zero_distance():
-    assert gaussian_similarity((0.0, 0.0), (0.0, 0.0), 1.0) == 1.0
-
-
-def test_gaussian_similarity_direct_values():
-    assert gaussian_similarity([0.0], [1.0], 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert gaussian_similarity([0.0], [2.0], 1.0) == pytest.approx(math.exp(-2.0), abs=1e-15)
-
-
-def test_gaussian_similarity_symmetric_bitwise():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        assert gaussian_similarity(a, b, 0.7) == gaussian_similarity(b, a, 0.7)
-
-
-def test_gaussian_similarity_validation():
-    with pytest.raises(ValueError, match="bandwidth"):
-        gaussian_similarity([0.0], [1.0], 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        gaussian_similarity([np.nan], [1.0], 1.0)
-    with pytest.raises(ValueError, match="shape"):
-        gaussian_similarity([0.0, 1.0], [1.0], 1.0)
 
 
 def test_posteriors_identical_points():
@@ -226,22 +198,6 @@ def test_posteriors_memory_is_linear():
         tracemalloc.stop()
     # one dense n x n float64 array would be n * n * 8 bytes
     assert peak < n * n * 8 / 4
-
-
-def test_naive_posterior_matches():
-    ds = LabeledDataset([[0.0], [0.0], [1.0]], [0, 1, 0], 2)
-    np.testing.assert_allclose(naive_posterior(ds, [0.0]), [0.5, 0.5])
-
-
-def test_naive_posterior_undefined_off_support():
-    ds = LabeledDataset([[0.0], [0.0], [1.0]], [0, 1, 0], 2)
-    with pytest.raises(UndefinedPosteriorError, match="undefined"):
-        naive_posterior(ds, [0.5])
-
-
-def test_naive_posterior_unanimous():
-    ds = LabeledDataset([[2.0], [2.0]], [1, 1], 2)
-    np.testing.assert_array_equal(naive_posterior(ds, [2.0]), [0.0, 1.0])
 
 
 def test_median_bandwidth_single_pair():

@@ -395,6 +395,30 @@ def test_pga_far_row_ascends():
     assert max(result.halvings) > 0
 
 
+@pytest.mark.parametrize(
+    "norm, radius, step, first_halvings",
+    [
+        ("l2", 0.3, 0.05, (2, 3, 6, 11)),
+        ("linf", 0.1, 0.05, (2, 3, 6, 11)),
+        # at step 0.05 no row reaches the budget; at step 50 rows do
+        ("l2", 0.3, 50.0, (0, 0, 0, 7)),
+        ("linf", 0.1, 50.0, (0, 0, 0, 3)),
+    ],
+)
+def test_pga_frozen_rows_stay_zero_under_halved_steps(norm, radius, step, first_halvings):
+    ds = far_row_dataset(10, n=80)
+    frozen = list(range(0, 80, 4))
+    c = PerturbationConstraint(norm_order=norm, radius=radius, frozen=frozenset(frozen))
+    result = pga_maximize(ds, K1, c, PgaConfig(step_size=step, max_iterations=12))
+    assert result.halvings[:4] == first_halvings
+    assert_ascends(result.trace)
+    # +0.0 bits, with no -0.0, and the input's points
+    assert result.deltas[frozen].tobytes() == np.zeros((len(frozen), 2)).tobytes()
+    assert result.perturbed.points[frozen].tobytes() == ds.points[frozen].tobytes()
+    reach = np.linalg.norm(result.deltas, ord=2 if norm == "l2" else np.inf, axis=1)
+    assert (reach > radius - 1e-9).any() == (step > 1.0)
+
+
 @pytest.mark.parametrize("iterations", [1, 5])
 def test_pga_stalled_step_keeps_deltas(monkeypatch, iterations):
     rng = np.random.default_rng(1)
