@@ -94,6 +94,9 @@ def _read_table(path, what: str, header: bool = True) -> tuple:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CsvFormatError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
     meta = {}
     head = None
     rows = []

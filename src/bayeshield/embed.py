@@ -175,7 +175,7 @@ def load_embedding(path) -> EmbeddingMap:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"embedding file {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"embedding file {path}: top level must be an object")

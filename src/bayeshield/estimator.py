@@ -4,6 +4,11 @@ For each sample the posterior over classes is a kernel-weighted vote of
 all other samples (a Nadaraya-Watson style local average; the sample
 itself never votes). The Bayes error estimate is one minus the mean of
 the per-sample maximum posterior.
+
+This module owns the streamed O(n^2) pairwise pass: the row-span
+runner, the kernel rows, the recomputation of rows whose similarity
+mass underflows, and both passes built on them, the posteriors here and
+the gradient that ``perturb.objective_and_gradient`` pulls back.
 """
 
 from __future__ import annotations
@@ -62,14 +67,16 @@ def _row_spans(n: int) -> list:
 
 def _run_row_spans(fill, n: int) -> None:
     """Call ``fill((lo, hi), scratch)`` on every row span of an n-row
-    pairwise pass, on a pool of ``min(_WORKERS, spans)`` threads; a
-    single-span pass also runs on one pool thread.
+    pairwise pass, split over ``min(_WORKERS, spans)`` workers.
 
     Worker w takes the interleaved group ``spans[w::workers]`` and
     allocates two (span rows, n) float64 arrays once; ``scratch`` holds
     their first hi - lo rows, so a fill writes its span temporaries into
     memory that stays mapped for the whole pass, and the pass holds
-    O(workers * n * span rows) scratch.
+    O(workers * n * span rows) scratch. The calling thread is worker 0
+    and a per-pass pool runs the others, so a single-span pass starts no
+    thread. Every worker has finished before this returns, or raises the
+    error of the lowest-numbered worker that failed.
     """
     spans = _row_spans(n)
     rows = spans[0][1] - spans[0][0]
@@ -80,8 +87,12 @@ def _run_row_spans(fill, n: int) -> None:
         for lo, hi in group:
             fill((lo, hi), buffers[:, : hi - lo])
 
+    # the pool starts threads only on submit, so none for the caller's group
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, [spans[w::workers] for w in range(workers)]))
+        futures = [pool.submit(run, spans[w::workers]) for w in range(1, workers)]
+        run(spans[0::workers])
+        for future in futures:
+            future.result()
 
 
 def _similarity_rows(
@@ -147,6 +158,54 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
         num[u] = [(row * mask).sum() for mask in masks]
         den[u] = num[u].sum()
     return den, underflow, num / den[:, None]
+
+
+def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
+    """The estimate of ``coords`` and its gradient in the same coordinates.
+
+    Returns ``(objective, argmax classes, tied rows, gradients)``; the
+    formula is on ``perturb.objective_and_gradient``. A second streamed
+    pass builds each row span of W from an (n, k) coefficient table.
+    """
+    n = coords.shape[0]
+    den, underflow, posteriors = _posterior_pass(coords, labels, k, bandwidth)
+
+    # argmax returns the first maximal column, i.e. the lowest class index
+    cstar = posteriors.argmax(axis=1)
+    pstar = posteriors[np.arange(n), cstar]
+    objective = float(1.0 - pstar.mean())
+    tied = np.flatnonzero((posteriors == pstar[:, None]).sum(axis=1) > 1)
+
+    # C[i, j] = table[i, y_j], so W streams from this (n, K) table
+    selected = np.arange(k) == cstar[:, None]
+    table = (selected - pstar[:, None]) / den[:, None]
+    table_by_class = np.ascontiguousarray(table.T)
+    wsum = np.empty(n)
+    mixed = np.empty_like(coords)
+
+    # labels lie in [0, K), so "clip" moves no index; under the default
+    # "raise", take fills ``out`` through a fresh copy
+    def fill(span, scratch) -> None:
+        lo, hi = span
+        weights = np.take(table[lo:hi], labels, axis=1, out=scratch[0], mode="clip")
+        weights += np.take(table_by_class, labels[lo:hi], axis=0, out=scratch[1], mode="clip")
+        weights *= _similarity_rows(coords, lo, hi, bandwidth, out=scratch[1])
+        weights /= bandwidth * bandwidth
+        weights[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        weights.sum(axis=1, out=wsum[lo:hi])
+        np.einsum("ij,jk->ik", weights, coords, out=mixed[lo:hi])
+
+    _run_row_spans(fill, n)
+    # an underflowing row u streamed its own terms below float64's normal
+    # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
+    # and W[m, u] from its shifted similarities
+    for u, row in _shifted_similarity_rows(coords, underflow, bandwidth):
+        weights = table[u].take(labels) * row / (bandwidth * bandwidth)
+        wsum[u] += weights.sum()
+        mixed[u] += np.einsum("j,jk->k", weights, coords)
+        wsum += weights
+        mixed += weights[:, None] * coords[u]
+    return objective, cstar, tied, (wsum[:, None] * coords - mixed) / n
 
 
 def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:

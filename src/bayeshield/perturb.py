@@ -6,6 +6,10 @@ gradient ascent: take a gradient step on every free row, then project
 each row's cumulative perturbation back onto its L^p ball. Frozen rows
 keep a bit-zero perturbation throughout, which models releasing a mix
 of clean and perturbed data.
+
+The estimate and its gradient come from the streamed pairwise pass in
+``estimator``; this module adds the embedding pullback, the projection
+and the ascent.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from .core import (
     _frozen_array,
 )
 from .embed import EmbeddingMap, embed_dataset, embed_points, pullback_gradients
-from .estimator import _posterior_pass, _run_row_spans, _shifted_similarity_rows
-from .estimator import _similarity_rows, estimate_bayes_error
+from .estimator import _gradient_pass, estimate_bayes_error
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -122,48 +125,10 @@ def objective_and_gradient(
     in the embedding space and the gradient is pulled back to the input
     space, while ``objective`` is the estimate of the embedded sample.
     """
-    n = data.n
     coords = data.points if embedding is None else embed_points(embedding, data.points)
-    sigma = kernel.bandwidth
-
-    den, underflow, posteriors = _posterior_pass(coords, data.labels, data.num_classes, sigma)
-
-    # argmax returns the first maximal column, i.e. the lowest class index
-    cstar = posteriors.argmax(axis=1)
-    pstar = posteriors[np.arange(n), cstar]
-    objective = float(1.0 - pstar.mean())
-    tied = np.flatnonzero((posteriors == pstar[:, None]).sum(axis=1) > 1)
-
-    # C[i, j] = table[i, y_j], so W streams from this (n, K) table
-    selected = np.arange(data.num_classes) == cstar[:, None]
-    table = (selected - pstar[:, None]) / den[:, None]
-    table_by_class = np.ascontiguousarray(table.T)
-    wsum = np.empty(n)
-    mixed = np.empty_like(coords)
-
-    # labels lie in [0, K), so "clip" moves no index; under the default
-    # "raise", take fills ``out`` through a fresh copy
-    def fill(span, scratch) -> None:
-        lo, hi = span
-        weights = np.take(table[lo:hi], data.labels, axis=1, out=scratch[0], mode="clip")
-        weights += np.take(table_by_class, data.labels[lo:hi], axis=0, out=scratch[1], mode="clip")
-        weights *= _similarity_rows(coords, lo, hi, sigma, out=scratch[1])
-        weights /= sigma * sigma
-        weights[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        weights.sum(axis=1, out=wsum[lo:hi])
-        np.einsum("ij,jk->ik", weights, coords, out=mixed[lo:hi])
-
-    _run_row_spans(fill, n)
-    # an underflowing row u streamed its own terms below float64's normal
-    # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
-    # and W[m, u] from its shifted similarities
-    for u, row in _shifted_similarity_rows(coords, underflow, sigma):
-        weights = table[u].take(data.labels) * row / (sigma * sigma)
-        wsum[u] += weights.sum()
-        mixed[u] += np.einsum("j,jk->k", weights, coords)
-        wsum += weights
-        mixed += weights[:, None] * coords[u]
-    grads_emb = (wsum[:, None] * coords - mixed) / n
+    objective, cstar, tied, grads_emb = _gradient_pass(
+        coords, data.labels, data.num_classes, kernel.bandwidth
+    )
 
     if embedding is not None:
         grads = pullback_gradients(embedding, data.points, grads_emb)

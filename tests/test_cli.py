@@ -97,6 +97,31 @@ def test_frozen_file_parsing(tmp_path):
         read_frozen_file(bad)
 
 
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    data = three_point_file(tmp_path)
+    bad_data = tmp_path / "latin.csv"
+    bad_data.write_bytes(b"f0,label\n0.0,0\n1.0,\xff1\n")
+    frozen = tmp_path / "frozen.txt"
+    frozen.write_bytes(b"0\n\xff\n")
+    embedding = tmp_path / "emb.json"
+    embedding.write_bytes(b'{"version": 1, "layers": "\xff"}')
+    cases = [
+        (["estimate", str(bad_data), "--sigma", "1"], "latin.csv:3: not UTF-8 text"),
+        (
+            ["perturb", str(data), "--eps", "0.1", "--iters", "1", "--sigma", "1",
+             "--frozen", str(frozen), "--out", str(tmp_path / "out.csv")],
+            "frozen.txt:2: not UTF-8 text",
+        ),
+        (
+            ["estimate", str(data), "--sigma", "1", "--embedding", str(embedding)],
+            f"embedding file {embedding}: ",
+        ),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_estimate_missing_file_exits_2(tmp_path, capsys):
     code = main(["estimate", str(tmp_path / "nope.csv"), "--sigma", "1.0"])
     assert code == 2

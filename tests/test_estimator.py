@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,10 +10,12 @@ from scipy.spatial.distance import pdist
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
 from bayeshield.estimator import (
+    _run_row_spans,
     estimate_bayes_error,
     estimate_posteriors,
     median_heuristic_bandwidth,
 )
+from bayeshield.perturb import objective_and_gradient
 
 K1 = SimilarityKernel(bandwidth=1.0)
 
@@ -164,6 +168,54 @@ def test_threads_do_not_change_bits(monkeypatch):
                 got = estimate_posteriors(ds, kernel)
                 np.testing.assert_array_equal(got.values, reference)
                 assert estimate_bayes_error(ds, kernel).value == value
+
+
+def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
+    threads = {}
+    similarity_rows = estimator._similarity_rows
+
+    def recorded(points, lo, *args, **kwargs):
+        threads.setdefault(lo, []).append(threading.current_thread())
+        return similarity_rows(points, lo, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_similarity_rows", recorded)
+    monkeypatch.setattr(estimator, "_WORKERS", 4)
+    ds = random_dataset(np.random.default_rng(11), n=40, d=2, k=2)
+    assert len(estimator._row_spans(ds.n)) == 1
+    estimate_posteriors(ds, K1)
+    objective_and_gradient(ds, K1)
+    # one fill for the estimate and two for the gradient's two passes
+    assert threads == {0: [threading.current_thread()] * 3}
+    # in a pass of four spans the calling thread fills the first and the
+    # pool the others
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 40 * 10)
+    threads.clear()
+    estimate_posteriors(ds, K1)
+    assert sorted(threads) == [0, 10, 20, 30]
+    assert threads.pop(0) == [threading.current_thread()]
+    assert threading.current_thread() not in sum(threads.values(), [])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers):
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 60 * 10)
+    monkeypatch.setattr(estimator, "_WORKERS", workers)
+    spans = estimator._row_spans(60)
+    failing = spans[1]
+    done = []
+
+    def fill(span, scratch):
+        if span == failing:
+            raise RuntimeError("fill failed")
+        # the caller's group 0 is quick, so a group 2 is still running
+        # when the caller collects the error of group 1
+        if span not in spans[0::workers]:
+            time.sleep(0.05)
+        done.append(span)
+
+    with pytest.raises(RuntimeError, match="fill failed"):
+        _run_row_spans(fill, 60)
+    assert sorted(done) == [span for span in spans if span not in spans[1::workers]]
 
 
 def test_small_bandwidth_takes_each_rows_nearest_neighbour_label():
