@@ -9,6 +9,14 @@ This module owns the streamed O(n^2) pairwise pass: the row-span
 runner, the kernel rows, the recomputation of rows whose similarity
 mass underflows, and both passes built on them, the posteriors here and
 the gradient that ``perturb.objective_and_gradient`` pulls back.
+
+Each pass keeps its rows in input order and lays its columns out in
+class order (``_ClassLayout``): a stable sort of the labels gives every
+class one contiguous slice of columns, empty for an unused class. A
+row's class mass is then one sum over its slice, and the gradient's
+sum_j W[i, j] x_j is one contiguous dot per coordinate against the
+(d, n) transpose of the class-ordered coordinates. The layout costs two
+(n, d) arrays and O(n) indices, built once per estimate or gradient.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_array
 
@@ -95,33 +102,81 @@ def _run_row_spans(fill, n: int) -> None:
             future.result()
 
 
+@dataclass(frozen=True)
+class _ClassLayout:
+    """One pass's columns in class order: ``order`` is a stable argsort of
+    the labels and ``inv`` its inverse, so row i's own column is
+    ``inv[i]``; class c owns columns ``bounds[c]:bounds[c + 1]``, which are
+    empty for an unused class. ``labels`` and ``coords`` are the labels
+    and the (n, d) coordinates in that order, and ``coords_t`` is the
+    C-contiguous (d, n) transpose of ``coords``."""
+
+    order: np.ndarray
+    inv: np.ndarray
+    bounds: np.ndarray
+    labels: np.ndarray
+    coords: np.ndarray
+    coords_t: np.ndarray
+
+    def classes(self):
+        """``(c, start, stop)`` for every class c, in class order."""
+        return zip(range(len(self.bounds) - 1), self.bounds[:-1], self.bounds[1:])
+
+
+def _class_layout(coords: np.ndarray, labels: np.ndarray, k: int) -> _ClassLayout:
+    # scipy.spatial is most of the package's import time, so it loads on
+    # the first pass, here on the calling thread before any span runs
+    import scipy.spatial.distance  # noqa: F401
+
+    order = np.argsort(labels, kind="stable")
+    inv = np.empty_like(order)
+    inv[order] = np.arange(order.size)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
+    by_class = coords[order]
+    return _ClassLayout(
+        order, inv, bounds, labels[order], by_class, np.ascontiguousarray(by_class.T)
+    )
+
+
 def _similarity_rows(
-    points: np.ndarray, lo: int, hi: int, bandwidth: float, out: np.ndarray
+    points: np.ndarray,
+    lo: int,
+    hi: int,
+    layout: _ClassLayout,
+    bandwidth: float,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Rows lo:hi of the Gaussian similarity matrix, with zero diagonal,
-    written into ``out``, a C-contiguous (hi - lo, n) float64 array.
+    """Rows lo:hi of the Gaussian similarity matrix, columns in the class
+    order of ``layout``, with each row's own column zero, written into
+    ``out``, a C-contiguous (hi - lo, n) float64 array.
 
     ``cdist`` sums each squared distance over the coordinates in a fixed
     order, so a row's values do not depend on the span it is computed in
     or on the array it is written to.
     """
-    block = cdist(points[lo:hi], points, "sqeuclidean", out=out)
-    np.negative(block, out=block)
-    block /= 2.0 * bandwidth * bandwidth
+    from scipy.spatial.distance import cdist
+
+    block = cdist(points[lo:hi], layout.coords, "sqeuclidean", out=out)
+    block /= -2.0 * bandwidth * bandwidth
     np.exp(block, out=block)
-    block[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+    block[np.arange(hi - lo), layout.inv[lo:hi]] = 0.0
     return block
 
 
-def _shifted_similarity_rows(points: np.ndarray, rows: np.ndarray, bandwidth: float):
+def _shifted_similarity_rows(
+    points: np.ndarray, layout: _ClassLayout, rows: np.ndarray, bandwidth: float
+):
     """Yield ``(u, row)`` for each u in ``rows``: x_u's similarities divided
     by its nearest neighbour's, exp(-(||x_u - x_j||^2 - min_{k != u}
-    ||x_u - x_k||^2) / (2 sigma^2)), zero at j = u. Posteriors and gradient
-    terms are ratios to a row's mass, so they keep their value, also where
-    the plain mass underflows float64."""
+    ||x_u - x_k||^2) / (2 sigma^2)), in the class order of ``layout`` and
+    zero in u's own column. Posteriors and gradient terms are ratios to a
+    row's mass, so they keep their value, also where the plain mass
+    underflows float64."""
+    from scipy.spatial.distance import cdist
+
     for u in rows:
-        row = cdist(points[u : u + 1], points, "sqeuclidean")[0]
-        row[u] = np.inf
+        row = cdist(points[u : u + 1], layout.coords, "sqeuclidean")[0]
+        row[layout.inv[u]] = np.inf
         nearest = row.min()
         if not np.isfinite(nearest):
             raise ValueError(f"row {u}: squared distance to its nearest neighbour overflows")
@@ -131,7 +186,7 @@ def _shifted_similarity_rows(points: np.ndarray, rows: np.ndarray, bandwidth: fl
         yield u, row
 
 
-def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
+def _posterior_pass(coords: np.ndarray, layout: _ClassLayout, bandwidth: float) -> tuple:
     """Leave-one-out posteriors of ``coords`` and the sums behind them.
 
     Returns ``(den, underflow, posteriors)``: each row's similarity mass,
@@ -142,20 +197,19 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     bit-equal to the estimate.
     """
     n = coords.shape[0]
-    num = np.empty((n, k))
-    masks = [labels == c for c in range(k)]
+    num = np.empty((n, len(layout.bounds) - 1))
 
     def fill(span, scratch) -> None:
         lo, hi = span
-        sims = _similarity_rows(coords, lo, hi, bandwidth, out=scratch[0])
-        for c, mask in enumerate(masks):
-            num[lo:hi, c] = np.multiply(sims, mask, out=scratch[1]).sum(axis=1)
+        sims = _similarity_rows(coords, lo, hi, layout, bandwidth, out=scratch[0])
+        for c, start, stop in layout.classes():
+            sims[:, start:stop].sum(axis=1, out=num[lo:hi, c])
 
     _run_row_spans(fill, n)
     den = num.sum(axis=1)
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
-    for u, row in _shifted_similarity_rows(coords, underflow, bandwidth):
-        num[u] = [(row * mask).sum() for mask in masks]
+    for u, row in _shifted_similarity_rows(coords, layout, underflow, bandwidth):
+        num[u] = [row[start:stop].sum() for _, start, stop in layout.classes()]
         den[u] = num[u].sum()
     return den, underflow, num / den[:, None]
 
@@ -165,10 +219,12 @@ def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: fl
 
     Returns ``(objective, argmax classes, tied rows, gradients)``; the
     formula is on ``perturb.objective_and_gradient``. A second streamed
-    pass builds each row span of W from an (n, k) coefficient table.
+    pass builds each row span of W, columns in class order, from an
+    (n, k) coefficient table.
     """
     n = coords.shape[0]
-    den, underflow, posteriors = _posterior_pass(coords, labels, k, bandwidth)
+    layout = _class_layout(coords, labels, k)
+    den, underflow, posteriors = _posterior_pass(coords, layout, bandwidth)
 
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
@@ -176,10 +232,11 @@ def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: fl
     objective = float(1.0 - pstar.mean())
     tied = np.flatnonzero((posteriors == pstar[:, None]).sum(axis=1) > 1)
 
-    # C[i, j] = table[i, y_j], so W streams from this (n, K) table
+    # C[i, j] = table[i, y_j], so W streams from this (n, K) table; the
+    # transposed table's columns are in class order, like W's
     selected = np.arange(k) == cstar[:, None]
     table = (selected - pstar[:, None]) / den[:, None]
-    table_by_class = np.ascontiguousarray(table.T)
+    table_by_class = np.ascontiguousarray(table[layout.order].T)
     wsum = np.empty(n)
     mixed = np.empty_like(coords)
 
@@ -187,22 +244,23 @@ def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: fl
     # "raise", take fills ``out`` through a fresh copy
     def fill(span, scratch) -> None:
         lo, hi = span
-        weights = np.take(table[lo:hi], labels, axis=1, out=scratch[0], mode="clip")
+        weights = np.take(table[lo:hi], layout.labels, axis=1, out=scratch[0], mode="clip")
         weights += np.take(table_by_class, labels[lo:hi], axis=0, out=scratch[1], mode="clip")
-        weights *= _similarity_rows(coords, lo, hi, bandwidth, out=scratch[1])
+        weights *= _similarity_rows(coords, lo, hi, layout, bandwidth, out=scratch[1])
         weights /= bandwidth * bandwidth
-        weights[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        weights[np.arange(hi - lo), layout.inv[lo:hi]] = 0.0
         weights.sum(axis=1, out=wsum[lo:hi])
-        np.einsum("ij,jk->ik", weights, coords, out=mixed[lo:hi])
+        np.einsum("ij,kj->ik", weights, layout.coords_t, out=mixed[lo:hi])
 
     _run_row_spans(fill, n)
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
     # and W[m, u] from its shifted similarities
-    for u, row in _shifted_similarity_rows(coords, underflow, bandwidth):
-        weights = table[u].take(labels) * row / (bandwidth * bandwidth)
+    for u, row in _shifted_similarity_rows(coords, layout, underflow, bandwidth):
+        weights = table[u].take(layout.labels) * row / (bandwidth * bandwidth)
         wsum[u] += weights.sum()
-        mixed[u] += np.einsum("j,jk->k", weights, coords)
+        mixed[u] += np.einsum("j,kj->k", weights, layout.coords_t)
+        weights = weights[layout.inv]
         wsum += weights
         mixed += weights[:, None] * coords[u]
     return objective, cstar, tied, (wsum[:, None] * coords - mixed) / n
@@ -216,7 +274,8 @@ def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> Poste
     As the bandwidth goes to zero, row i tends to the one-hot label of
     its nearest neighbour.
     """
-    _, _, values = _posterior_pass(data.points, data.labels, data.num_classes, kernel.bandwidth)
+    layout = _class_layout(data.points, data.labels, data.num_classes)
+    _, _, values = _posterior_pass(data.points, layout, kernel.bandwidth)
     return PosteriorMatrix(values)
 
 
@@ -235,6 +294,8 @@ def median_heuristic_bandwidth(data: LabeledDataset) -> float:
     streamed pairwise pass, this holds all n(n-1)/2 distances at once
     (1.6 GB of doubles at n=20000); np.median partitions them in place.
     """
+    from scipy.spatial.distance import pdist
+
     dists = pdist(data.points)
     med = float(np.median(dists, overwrite_input=True))
     if med <= 0.0:

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -153,6 +156,11 @@ def test_threads_do_not_change_bits(monkeypatch):
     far = cases[0].points.copy()
     far[[20, 90, 140]] = [[1e3, 0.0, 0.0], [0.0, 1e3, 0.0], [0.0, 1e3, (720 * 2 * 0.7**2) ** 0.5]]
     cases.append(cases[0].with_points(far))
+    # K=5 with labels only in {0, 2, 3} leaves two classes without columns
+    # and the others with slices of unequal width; K=1 has one slice
+    labels = rng.choice([0, 2, 3], size=150, p=[0.6, 0.3, 0.1])
+    cases.append(LabeledDataset(cases[1].points, labels, 5))
+    cases.append(LabeledDataset(cases[0].points, np.zeros(150, dtype=int), 1))
     references = [
         (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
         for ds in cases
@@ -194,6 +202,46 @@ def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
     assert sorted(threads) == [0, 10, 20, 30]
     assert threads.pop(0) == [threading.current_thread()]
     assert threading.current_thread() not in sum(threads.values(), [])
+
+
+SPATIAL_GUARD = """
+import json, sys, threading
+import bayeshield, bayeshield.cli
+from bayeshield import estimator
+from bayeshield.core import LabeledDataset, SimilarityKernel
+absent = not any(name.startswith("scipy.spatial") for name in sys.modules)
+importers = []
+
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.spatial":
+            importers.append(threading.current_thread() is threading.main_thread())
+
+
+sys.meta_path.insert(0, Recorder())
+estimator._WORKERS = 2
+estimator._CHUNK_ELEMENTS = 40 * 10
+ds = LabeledDataset(json.loads(sys.argv[1]), [0, 1] * 20, 2)
+value = estimator.estimate_bayes_error(ds, SimilarityKernel(bandwidth=1.0)).value
+print(json.dumps({"absent_on_import": absent, "importers": importers, "value": value}))
+"""
+
+
+def test_package_import_leaves_scipy_spatial_to_the_first_pass():
+    points = np.random.default_rng(17).normal(size=(40, 2))
+    result = subprocess.run(
+        [sys.executable, "-c", SPATIAL_GUARD, json.dumps(points.tolist())],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    got = json.loads(result.stdout)
+    assert got["absent_on_import"] is True
+    # loaded once, on the calling thread, before the pool ran a span
+    assert got["importers"] == [True]
+    ds = LabeledDataset(points, [0, 1] * 20, 2)
+    assert got["value"] == estimate_bayes_error(ds, K1).value
 
 
 @pytest.mark.parametrize("workers", [2, 3])

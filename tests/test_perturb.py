@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from bayeshield import estimator, perturb
 from bayeshield.core import (
@@ -12,7 +14,11 @@ from bayeshield.core import (
     SimilarityKernel,
 )
 from bayeshield.embed import EmbeddingLayer, EmbeddingMap, embed_dataset
-from bayeshield.estimator import estimate_bayes_error, estimate_posteriors
+from bayeshield.estimator import (
+    estimate_bayes_error,
+    estimate_posteriors,
+    median_heuristic_bandwidth,
+)
 from bayeshield.perturb import (
     MAX_HALVINGS,
     _project_rows,
@@ -67,38 +73,77 @@ def row_splits(n):
 def dense_gradient(ds, sigma):
     """Objective and gradient from the dense n x n weight matrix
     W = (C + C^T) * S / sigma^2 of the objective_and_gradient docstring,
-    in the operation order of the streamed pass. A row whose mass is
-    below the smallest normal float64 takes its posterior and its own
-    terms of W from its similarities divided by its nearest neighbour's."""
+    in the operation order of the streamed pass: columns in class order,
+    each class's mass summed over its own columns, and each entry of
+    sum_j W[i, j] x_j one contiguous dot. A row whose mass is below the
+    smallest normal float64 takes its posterior and its own terms of W
+    from its similarities divided by its nearest neighbour's."""
     n, k, x, y = ds.n, ds.num_classes, ds.points, ds.labels
-    diff = x[:, None, :] - x[None, :, :]
+    order = np.argsort(y, kind="stable")
+    own = (np.arange(n), np.argsort(order))
+    bounds = np.searchsorted(y[order], np.arange(k + 1))
+    slices = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    x_by_class = x[order]
+    diff = x[:, None, :] - x_by_class[None, :, :]
     sq = (diff * diff).sum(axis=2)
     sims = np.exp(-sq / (2.0 * sigma * sigma))
-    np.fill_diagonal(sims, 0.0)
-    np.fill_diagonal(sq, np.inf)
+    sims[own] = 0.0
+    sq[own] = np.inf
     shifted = np.exp(-(sq - sq.min(axis=1, keepdims=True)) / (2.0 * sigma * sigma))
-    num = np.stack([(sims * (y == c)).sum(axis=1) for c in range(k)], axis=1)
+    num = np.stack([sims[:, columns].sum(axis=1) for columns in slices], axis=1)
     den = num.sum(axis=1)
     under = np.flatnonzero(den < np.finfo(np.float64).tiny)
     for u in under:
-        num[u] = [(shifted[u] * (y == c)).sum() for c in range(k)]
+        num[u] = [shifted[u, columns].sum() for columns in slices]
         den[u] = num[u].sum()
     posteriors = num / den[:, None]
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     selected = (y[None, :] == cstar[:, None]).astype(np.float64)
     coeff = (selected - pstar[:, None]) / den[:, None]
-    weights = (coeff + coeff.T) * sims / (sigma * sigma)
-    np.fill_diagonal(weights, 0.0)
+    coeff_by_class = coeff[:, order]
+    weights = (coeff_by_class + coeff[order].T) * sims / (sigma * sigma)
+    weights[own] = 0.0
     wsum = weights.sum(axis=1)
-    mixed = (weights[:, :, None] * x[None, :, :]).sum(axis=1)
+    x_by_class_t = np.ascontiguousarray(x_by_class.T)
+    mixed = np.einsum("ij,kj->ik", weights, x_by_class_t)
     for u in under:
-        own = coeff[u] * shifted[u] / (sigma * sigma)
-        wsum[u] += own.sum()
-        mixed[u] += (own[:, None] * x).sum(axis=0)
-        wsum += own
-        mixed += own[:, None] * x[u]
+        terms = coeff_by_class[u] * shifted[u] / (sigma * sigma)
+        wsum[u] += terms.sum()
+        mixed[u] += np.einsum("j,kj->k", terms, x_by_class_t)
+        wsum[order] += terms
+        mixed[order] += terms[:, None] * x[u]
     return 1.0 - pstar.mean(), (wsum[:, None] * x - mixed) / n
+
+
+def unused_classes_dataset(seed, n=120, d=3):
+    """K=5 with labels only in {0, 2, 3}, in uneven shares: classes 1 and
+    4 own no column, and the used ones own slices of unequal width."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice([0, 2, 3], size=n, p=[0.6, 0.3, 0.1])
+    return LabeledDataset(rng.normal(size=(n, d)), labels, 5)
+
+
+def fsum_oracle(ds, sigma):
+    """Posteriors and gradient of the formula with every sum over a row's
+    pairs taken by math.fsum, the gradient in its form
+    sum_j W[i, j] (x_i - x_j) / n. Similarities and the entries of W are
+    the float64 values the streamed pass multiplies, so the oracle
+    differs from the pass only in how it sums."""
+    n, k, x, y = ds.n, ds.num_classes, ds.points, ds.labels
+    sims = np.exp(cdist(x, x, "sqeuclidean") / (-2.0 * sigma * sigma))
+    np.fill_diagonal(sims, 0.0)
+    num = np.array([[math.fsum(row[y == c]) for c in range(k)] for row in sims])
+    den = np.array([math.fsum(row) for row in sims])
+    posteriors = num / den[:, None]
+    cstar = posteriors.argmax(axis=1)
+    pstar = posteriors[np.arange(n), cstar]
+    coeff = ((y[None, :] == cstar[:, None]) - pstar[:, None]) / den[:, None]
+    weights = (coeff + coeff.T) * sims / (sigma * sigma)
+    gradients = np.array(
+        [[math.fsum(w * (x[i, m] - x[:, m])) for m in range(ds.d)] for i, w in enumerate(weights)]
+    )
+    return posteriors, gradients / n
 
 
 def test_default_step_size():
@@ -162,6 +207,8 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
     cases = [(random_dataset(6, n=120, d=d, k=3), tanh_embedding(d)) for d in (3, 9)]
     runs = [(ds, e) for ds, embedding in cases for e in (None, embedding)]
     runs.append((far_row_dataset(6, n=120, d=3), None))
+    runs.append((unused_classes_dataset(6), None))
+    runs.append((LabeledDataset(cases[0][0].points, np.zeros(120, dtype=int), 1), None))
     references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
     for chunk in row_splits(120):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
@@ -176,18 +223,42 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
 
 
 def test_gradient_matches_dense_oracle(monkeypatch):
-    ds = random_dataset(13, n=40, d=2, k=3)
-    # one row so far away that its similarity mass underflows to zero
-    far = ds.points.copy()
-    far[17] = [1e3, -1e3]
-    ds = ds.with_points(far)
-    objective, gradients = dense_gradient(ds, 1.0)
-    for chunk in (None,) + row_splits(ds.n):
-        if chunk is not None:
+    default = estimator._CHUNK_ELEMENTS
+    cases = [random_dataset(13, n=40, d=2, k=3), unused_classes_dataset(13, n=40, d=2)]
+    for ds in cases:
+        # one row so far away that its similarity mass underflows to zero
+        far = ds.points.copy()
+        far[17] = [1e3, -1e3]
+        ds = ds.with_points(far)
+        objective, gradients = dense_gradient(ds, 1.0)
+        for chunk in (default,) + row_splits(ds.n):
             monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        report = objective_and_gradient(ds, K1)
-        assert report.objective == objective
-        np.testing.assert_array_equal(report.gradients, gradients)
+            report = objective_and_gradient(ds, K1)
+            assert report.objective == objective
+            np.testing.assert_array_equal(report.gradients, gradients)
+
+
+# (d, K) of the accuracy instances, d from 2 to 64 and K from 2 to 10
+ACCURACY_SHAPES = [(2, 2), (3, 10), (5, 4), (8, 3), (13, 7), (21, 2), (34, 5), (64, 10)]
+
+
+def accuracy_dataset(seed, d, k, n=400):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, n)
+    centers = rng.normal(size=(k, d))
+    return LabeledDataset(centers[labels] + rng.normal(size=(n, d)), labels, k)
+
+
+def test_pass_is_within_rounding_of_an_fsum_oracle():
+    eps = np.finfo(np.float64).eps
+    for seed, (d, k) in enumerate(ACCURACY_SHAPES):
+        ds = accuracy_dataset(seed, d, k)
+        kernel = SimilarityKernel(bandwidth=median_heuristic_bandwidth(ds))
+        posteriors, gradients = fsum_oracle(ds, kernel.bandwidth)
+        got = estimate_posteriors(ds, kernel).values
+        assert np.abs(got - posteriors).max() <= 4 * eps
+        report = objective_and_gradient(ds, kernel)
+        assert np.abs(report.gradients - gradients).max() <= 1e-14 * np.abs(gradients).max()
 
 
 def test_far_row_gradient_matches_finite_differences():
