@@ -31,7 +31,10 @@ from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_arr
 
 # Target element count per row span of the streamed n x n pairwise pass,
 # which holds O(n * span) memory. Span boundaries never change the per-row
-# arithmetic, so results are identical for any span or worker count.
+# arithmetic, so results are identical for any span or worker count; the
+# one exception is the gradient at d=1 with n above 8192, where einsum
+# sums a multi-row span in buffer-sized pieces, so only the span size,
+# which depends on n alone, changes its last bits.
 _CHUNK_ELEMENTS = 65_536
 
 # Workers for the row spans: the CPUs this process may run on, so that
