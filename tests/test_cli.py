@@ -461,3 +461,41 @@ def test_non_finite_fields_name_line_and_column(tmp_path, field):
     deltas.write_text(f"# version=1\nf0,f1\n{field},0.0\n0.0,0.0\n")
     with pytest.raises(CsvFormatError, match=rf"d\.csv:3: column f0: '{field}' is not finite"):
         read_deltas_csv(deltas)
+
+
+# (reader, file text, line named in the message or None, rest of the message);
+# a text of None leaves the path absent
+READER_ERRORS = {
+    "comment-after-header": (read_dataset_csv, "f0,label\n0.0,0\n# late\n1.0,1\n", 3,
+                             "comment after header"),
+    "unsupported-version": (read_deltas_csv, "# version=2\nf0\n0.0\n", 1,
+                            "unsupported deltas version '2'"),
+    "no-header-row": (read_dataset_csv, "# version=1\n\n# k=2\n", None, "no header row found"),
+    "no-data-rows": (read_trace_csv, "# version=1\niter,bayes_error\n\n", None, "no data rows"),
+    "expected-iteration": (read_trace_csv, "iter,bayes_error\n0,0.1\n2,0.2\n", 3,
+                           "expected iteration 1"),
+    "negative-integer": (read_dataset_csv, "f0,label\n0.0,0\n1.0,-1\n", 3, "label -1 is negative"),
+    "over-64-bits": (read_frozen_file, "0\n\n9223372036854775808\n", 3,
+                     "frozen index 9223372036854775808 does not fit in 64 bits"),
+    "bad-trace-header": (read_trace_csv, "# version=1\niter,value\n0,0.1\n", 2,
+                         "trace header must be iter,bayes_error"),
+    "bad-deltas-header": (read_deltas_csv, "f0,g1\n0.0,0.0\n", 1, "deltas header must be f0,..,f1"),
+    "unreadable-path": (read_dataset_csv, None, None, "cannot read dataset"),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_ERRORS))
+def test_reader_errors_name_path_and_line(tmp_path, case):
+    reader, text, line, message = READER_ERRORS[case]
+    path = tmp_path / f"{case}.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(CsvFormatError) as excinfo:
+        reader(path)
+    got = str(excinfo.value)
+    if text is None:
+        assert got.startswith(f"{message} {path}: ")
+    elif line is None:
+        assert got == f"{path}: {message}"
+    else:
+        assert got == f"{path}:{line}: {message}"
