@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
@@ -131,28 +132,26 @@ def _read_table(path, what: str, header: bool = True) -> tuple:
 
 
 def _floats(path, lineno: int, fields, names) -> list:
-    """One row's fields as floats; an error names the line and column."""
+    """One row's fields as finite floats; an error names the line and the
+    first column that is not a number or not finite."""
     try:
-        return [float(v) for v in fields]
+        values = [float(v) for v in fields]
     except ValueError:
-        for name, v in zip(names, fields):
-            try:
-                float(v)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: column {name}: {v!r} is not a number"
-                ) from None
-        raise
-
-
-def _check_finite(path, rows, values: np.ndarray, names) -> None:
-    """Name the line and column of the first non-finite parsed value."""
-    if not np.isfinite(values).all():
-        r, j = np.argwhere(~np.isfinite(values))[0]
-        raise CsvFormatError(
-            f"{path}:{rows[r][0]}: column {names[j]}: "
-            f"{rows[r][1].split(',')[j]!r} is not finite"
-        )
+        values = None
+    # a nan or an infinity makes the sum one too, so only a row with a bad
+    # field or with finite fields whose sum overflows is scanned
+    if values is not None and math.isfinite(sum(values)):
+        return values
+    for name, v in zip(names, fields):
+        try:
+            value = float(v)
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}:{lineno}: column {name}: {v!r} is not a number"
+            ) from None
+        if not math.isfinite(value):
+            raise CsvFormatError(f"{path}:{lineno}: column {name}: {v!r} is not finite")
+    return values
 
 
 def _integer(path, lineno: int, text: str, what: str) -> int:
@@ -206,7 +205,6 @@ def read_dataset_csv(path) -> LabeledDataset:
                 f"{path}:{lineno}: label {labels[r]} outside declared class "
                 f"count k={declared_k}"
             )
-    _check_finite(path, rows, points, header)
     top = int(labels.argmax())
     k, k_line = (declared_k, meta["k"][0]) if "k" in meta else (int(labels[top]) + 1, rows[top][0])
     # classes may go unused, but the estimator's (n, k) tables must stay O(n)
@@ -259,7 +257,6 @@ def read_deltas_csv(path) -> np.ndarray:
     deltas = np.empty((len(rows), len(header)))
     for r, (lineno, line) in enumerate(rows):
         deltas[r] = _floats(path, lineno, line.split(","), header)
-    _check_finite(path, rows, deltas, header)
     return deltas
 
 

@@ -461,6 +461,12 @@ def test_non_finite_fields_name_line_and_column(tmp_path, field):
     deltas.write_text(f"# version=1\nf0,f1\n{field},0.0\n0.0,0.0\n")
     with pytest.raises(CsvFormatError, match=rf"d\.csv:3: column f0: '{field}' is not finite"):
         read_deltas_csv(deltas)
+    trace = tmp_path / "t.csv"
+    trace.write_text(f"# version=1\niter,bayes_error\n0,0.1\n1,{field}\n")
+    with pytest.raises(
+        CsvFormatError, match=rf"t\.csv:4: column bayes_error: '{field}' is not finite"
+    ):
+        read_trace_csv(trace)
 
 
 # (reader, file text, line named in the message or None, rest of the message);
@@ -479,7 +485,8 @@ READER_ERRORS = {
                      "frozen index 9223372036854775808 does not fit in 64 bits"),
     "bad-trace-header": (read_trace_csv, "# version=1\niter,value\n0,0.1\n", 2,
                          "trace header must be iter,bayes_error"),
-    "bad-deltas-header": (read_deltas_csv, "f0,g1\n0.0,0.0\n", 1, "deltas header must be f0,..,f1"),
+    "bad-deltas-header": (read_deltas_csv, "f0,g1\n0.0,0.0\n", 1,
+                          "deltas header must be f0,..,f1"),
     "unreadable-path": (read_dataset_csv, None, None, "cannot read dataset"),
 }
 
@@ -499,3 +506,14 @@ def test_reader_errors_name_path_and_line(tmp_path, case):
         assert got == f"{path}: {message}"
     else:
         assert got == f"{path}:{line}: {message}"
+
+
+def test_first_bad_field_in_file_order_wins(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("f0,f1,label\n1e308,1e308,0\n0.0,nan,1\n0.0,oops,x\n")
+    with pytest.raises(CsvFormatError, match=r"mixed\.csv:3: column f1: 'nan' is not finite"):
+        read_dataset_csv(path)
+    # finite fields whose sum overflows are read as they are
+    path.write_text("f0,f1,label\n1e308,1e308,0\n-1e308,-1e308,1\n")
+    points = read_dataset_csv(path).points
+    np.testing.assert_array_equal(points, [[1e308, 1e308], [-1e308, -1e308]])
