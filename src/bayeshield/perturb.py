@@ -92,9 +92,14 @@ def default_step_size(n: int, radius: float) -> float:
     """Calibrated default ascent step for an n-sample run of budget ``radius``."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return STEP_SCALE * n * radius
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be a positive finite real, got {radius}")
+    step = STEP_SCALE * n * radius
+    if not np.isfinite(step):
+        raise ValueError(
+            f"default step size {STEP_SCALE} * n * radius overflows at n={n}, radius={radius}"
+        )
+    return step
 
 
 def objective_and_gradient(

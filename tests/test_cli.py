@@ -316,6 +316,17 @@ def test_perturb_frozen_rows_kept(tmp_path, capsys):
         np.testing.assert_array_equal(perturbed.points[i], original.points[i])
 
 
+def test_perturb_overflowing_default_step_names_the_budget(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    rng = np.random.default_rng(5)
+    write_dataset_csv(path, LabeledDataset(rng.normal(size=(600, 2)), rng.integers(0, 2, 600), 2))
+    out = tmp_path / "out.csv"
+    code = main(["perturb", str(path), "--eps", "1e308", "--sigma", "1", "--out", str(out)])
+    assert code == 2
+    assert "overflows at n=600, radius=1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_perturb_all_frozen_exits_2(tmp_path, capsys):
     path = three_point_file(tmp_path)
     frozen_path = tmp_path / "frozen.txt"

@@ -154,6 +154,17 @@ def test_default_step_size():
         default_step_size(10, 0.0)
 
 
+@pytest.mark.parametrize("radius", [np.inf, np.nan])
+def test_default_step_size_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match=f"radius must be a positive finite real, got {radius}"):
+        default_step_size(10, radius)
+
+
+def test_default_step_size_names_an_overflowing_budget():
+    with pytest.raises(ValueError, match=r"overflows at n=1000, radius=1e\+308"):
+        default_step_size(1000, 1e308)
+
+
 def test_gradient_single_class_is_zero():
     ds = LabeledDataset([[0.0, 1.0], [2.0, 3.0], [4.0, 0.5]], [0, 0, 0], 1)
     report = objective_and_gradient(ds, K1)
