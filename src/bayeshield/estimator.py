@@ -10,13 +10,14 @@ runner, the kernel rows, the recomputation of rows whose similarity
 mass underflows, and both passes built on them, the posteriors here and
 the gradient that ``perturb.objective_and_gradient`` pulls back.
 
-Each pass keeps its rows in input order and lays its columns out in
-class order (``_ClassLayout``): a stable sort of the labels gives every
-class one contiguous slice of columns, empty for an unused class. A
-row's class mass is then one sum over its slice, and the gradient's
-sum_j W[i, j] x_j is one contiguous dot per coordinate against the
-(d, n) transpose of the class-ordered coordinates. The layout costs two
-(n, d) arrays and O(n) indices, built once per estimate or gradient.
+Each pass runs in class order: a stable sort of the labels permutes the
+coordinates and labels once on the way in, so every class owns one
+contiguous slice of rows and of columns, empty for an unused class, and
+row i's own column is column i. A row's class mass is then one sum over
+its slice, and the gradient's sum_j W[i, j] x_j is one contiguous dot
+per coordinate against the (d, n) transpose of the sorted coordinates.
+Per-row results go back to input order once on the way out, before the
+mean and the tie scan, which depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -105,53 +106,32 @@ def _run_row_spans(fill, n: int) -> None:
             future.result()
 
 
-@dataclass(frozen=True)
-class _ClassLayout:
-    """One pass's columns in class order: ``order`` is a stable argsort of
-    the labels and ``inv`` its inverse, so row i's own column is
-    ``inv[i]``; class c owns columns ``bounds[c]:bounds[c + 1]``, which are
-    empty for an unused class. ``labels`` and ``coords`` are the labels
-    and the (n, d) coordinates in that order, and ``coords_t`` is the
-    C-contiguous (d, n) transpose of ``coords``."""
-
-    order: np.ndarray
-    inv: np.ndarray
-    bounds: np.ndarray
-    labels: np.ndarray
-    coords: np.ndarray
-    coords_t: np.ndarray
-
-    def classes(self):
-        """``(c, start, stop)`` for every class c, in class order."""
-        return zip(range(len(self.bounds) - 1), self.bounds[:-1], self.bounds[1:])
-
-
-def _class_layout(coords: np.ndarray, labels: np.ndarray, k: int) -> _ClassLayout:
+def _class_order(labels: np.ndarray, k: int) -> tuple:
+    """``(order, classes)``: a stable argsort of the labels, and for every
+    class c the slice ``classes[c]`` of rows and columns it owns once they
+    are in that order, empty for an unused class."""
     # scipy.spatial is most of the package's import time, so it loads on
     # the first pass, here on the calling thread before any span runs
     import scipy.spatial.distance  # noqa: F401
 
     order = np.argsort(labels, kind="stable")
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
-    by_class = coords[order]
-    return _ClassLayout(
-        order, inv, bounds, labels[order], by_class, np.ascontiguousarray(by_class.T)
-    )
+    return order, [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
+def _input_order(order: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows of a pass in class order, moved back to input order."""
+    out = np.empty_like(values)
+    out[order] = values
+    return out
 
 
 def _similarity_rows(
-    points: np.ndarray,
-    lo: int,
-    hi: int,
-    layout: _ClassLayout,
-    bandwidth: float,
-    out: np.ndarray,
+    points: np.ndarray, lo: int, hi: int, bandwidth: float, out: np.ndarray
 ) -> np.ndarray:
-    """Rows lo:hi of the Gaussian similarity matrix, columns in the class
-    order of ``layout``, with each row's own column zero, written into
-    ``out``, a C-contiguous (hi - lo, n) float64 array.
+    """Rows lo:hi of the Gaussian similarity matrix of ``points``, with
+    each row's own column zero, written into ``out``, a C-contiguous
+    (hi - lo, n) float64 array.
 
     ``cdist`` sums each squared distance over the coordinates in a fixed
     order, so a row's values do not depend on the span it is computed in
@@ -159,60 +139,62 @@ def _similarity_rows(
     """
     from scipy.spatial.distance import cdist
 
-    block = cdist(points[lo:hi], layout.coords, "sqeuclidean", out=out)
+    block = cdist(points[lo:hi], points, "sqeuclidean", out=out)
     block /= -2.0 * bandwidth * bandwidth
     np.exp(block, out=block)
-    block[np.arange(hi - lo), layout.inv[lo:hi]] = 0.0
+    np.fill_diagonal(block[:, lo:hi], 0.0)
     return block
 
 
 def _shifted_similarity_rows(
-    points: np.ndarray, layout: _ClassLayout, rows: np.ndarray, bandwidth: float
+    points: np.ndarray, order: np.ndarray, rows: np.ndarray, bandwidth: float
 ):
     """Yield ``(u, row)`` for each u in ``rows``: x_u's similarities divided
     by its nearest neighbour's, exp(-(||x_u - x_j||^2 - min_{k != u}
-    ||x_u - x_k||^2) / (2 sigma^2)), in the class order of ``layout`` and
-    zero in u's own column. Posteriors and gradient terms are ratios to a
-    row's mass, so they keep their value, also where the plain mass
-    underflows float64."""
+    ||x_u - x_k||^2) / (2 sigma^2)), zero in u's own column. Posteriors
+    and gradient terms are ratios to a row's mass, so they keep their
+    value, also where the plain mass underflows float64. An error names
+    u's input row."""
     from scipy.spatial.distance import cdist
 
     for u in rows:
-        row = cdist(points[u : u + 1], layout.coords, "sqeuclidean")[0]
-        row[layout.inv[u]] = np.inf
+        row = cdist(points[u : u + 1], points, "sqeuclidean")[0]
+        row[u] = np.inf
         nearest = row.min()
         if not np.isfinite(nearest):
-            raise ValueError(f"row {u}: squared distance to its nearest neighbour overflows")
+            raise ValueError(f"row {order[u]}: squared distance to its nearest neighbour overflows")
         row -= nearest
         row /= -2.0 * bandwidth * bandwidth
         np.exp(row, out=row)
         yield u, row
 
 
-def _posterior_pass(coords: np.ndarray, layout: _ClassLayout, bandwidth: float) -> tuple:
-    """Leave-one-out posteriors of ``coords`` and the sums behind them.
+def _posterior_pass(points: np.ndarray, order: np.ndarray, classes: list, bandwidth: float):
+    """Leave-one-out posteriors of ``points``, given in the class order of
+    ``_class_order``, and the sums behind them.
 
-    Returns ``(den, underflow, posteriors)``: each row's similarity mass,
-    the rows whose mass is zero or subnormal, and the (n, k) posteriors.
-    Those rows are recomputed by ``_shifted_similarity_rows``, so their
-    ``den`` is the shifted mass. The estimator and the gradient both
-    read this one streamed pass, so the objective of the gradient is
-    bit-equal to the estimate.
+    Returns ``(den, underflow, posteriors)`` in that order: each row's
+    similarity mass, the rows whose mass is zero or subnormal, listed in
+    input order, and the (n, k) posteriors. Those rows are recomputed by
+    ``_shifted_similarity_rows``, so their ``den`` is the shifted mass.
+    The estimator and the gradient both read this one streamed pass, so
+    the objective of the gradient is bit-equal to the estimate.
     """
-    n = coords.shape[0]
-    num = np.empty((n, len(layout.bounds) - 1))
+    n = points.shape[0]
+    num = np.empty((n, len(classes)))
 
     def fill(span, scratch) -> None:
         lo, hi = span
-        sims = _similarity_rows(coords, lo, hi, layout, bandwidth, out=scratch[0])
-        for c, start, stop in layout.classes():
-            sims[:, start:stop].sum(axis=1, out=num[lo:hi, c])
+        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0])
+        for c, columns in enumerate(classes):
+            sims[:, columns].sum(axis=1, out=num[lo:hi, c])
 
     _run_row_spans(fill, n)
     den = num.sum(axis=1)
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
-    for u, row in _shifted_similarity_rows(coords, layout, underflow, bandwidth):
-        num[u] = [row[start:stop].sum() for _, start, stop in layout.classes()]
+    underflow = underflow[np.argsort(order[underflow])]
+    for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
+        num[u] = [row[columns].sum() for columns in classes]
         den[u] = num[u].sum()
     return den, underflow, num / den[:, None]
 
@@ -220,53 +202,56 @@ def _posterior_pass(coords: np.ndarray, layout: _ClassLayout, bandwidth: float) 
 def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
     """The estimate of ``coords`` and its gradient in the same coordinates.
 
-    Returns ``(objective, argmax classes, tied rows, gradients)``; the
-    formula is on ``perturb.objective_and_gradient``. A second streamed
-    pass builds each row span of W, columns in class order, from an
-    (n, k) coefficient table.
+    Returns ``(objective, argmax classes, tied rows, gradients)`` in input
+    order; the formula is on ``perturb.objective_and_gradient``. A second
+    streamed pass builds each row span of W from an (n, k) coefficient
+    table.
     """
     n = coords.shape[0]
-    layout = _class_layout(coords, labels, k)
-    den, underflow, posteriors = _posterior_pass(coords, layout, bandwidth)
+    order, classes = _class_order(labels, k)
+    points, labels = coords[order], labels[order]
+    den, underflow, posteriors = _posterior_pass(points, order, classes, bandwidth)
 
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
-    objective = float(1.0 - pstar.mean())
-    tied = np.flatnonzero((posteriors == pstar[:, None]).sum(axis=1) > 1)
+    tied = (posteriors == pstar[:, None]).sum(axis=1) > 1
+    # the mean sums in row order, so it runs in input order
+    objective = float(1.0 - _input_order(order, pstar).mean())
 
-    # C[i, j] = table[i, y_j], so W streams from this (n, K) table; the
-    # transposed table's columns are in class order, like W's
+    # C[i, j] = table[i, y_j], so W streams from this (n, K) table
     selected = np.arange(k) == cstar[:, None]
     table = (selected - pstar[:, None]) / den[:, None]
-    table_by_class = np.ascontiguousarray(table[layout.order].T)
+    table_t = np.ascontiguousarray(table.T)
+    points_t = np.ascontiguousarray(points.T)
     wsum = np.empty(n)
-    mixed = np.empty_like(coords)
+    mixed = np.empty_like(points)
 
     # labels lie in [0, K), so "clip" moves no index; under the default
     # "raise", take fills ``out`` through a fresh copy
     def fill(span, scratch) -> None:
         lo, hi = span
-        weights = np.take(table[lo:hi], layout.labels, axis=1, out=scratch[0], mode="clip")
-        weights += np.take(table_by_class, labels[lo:hi], axis=0, out=scratch[1], mode="clip")
-        weights *= _similarity_rows(coords, lo, hi, layout, bandwidth, out=scratch[1])
+        weights = np.take(table[lo:hi], labels, axis=1, out=scratch[0], mode="clip")
+        weights += np.take(table_t, labels[lo:hi], axis=0, out=scratch[1], mode="clip")
+        weights *= _similarity_rows(points, lo, hi, bandwidth, out=scratch[1])
         weights /= bandwidth * bandwidth
-        weights[np.arange(hi - lo), layout.inv[lo:hi]] = 0.0
+        np.fill_diagonal(weights[:, lo:hi], 0.0)
         weights.sum(axis=1, out=wsum[lo:hi])
-        np.einsum("ij,kj->ik", weights, layout.coords_t, out=mixed[lo:hi])
+        np.einsum("ij,kj->ik", weights, points_t, out=mixed[lo:hi])
 
     _run_row_spans(fill, n)
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
     # and W[m, u] from its shifted similarities
-    for u, row in _shifted_similarity_rows(coords, layout, underflow, bandwidth):
-        weights = table[u].take(layout.labels) * row / (bandwidth * bandwidth)
+    for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
+        weights = table[u].take(labels) * row / (bandwidth * bandwidth)
         wsum[u] += weights.sum()
-        mixed[u] += np.einsum("j,kj->k", weights, layout.coords_t)
-        weights = weights[layout.inv]
+        mixed[u] += np.einsum("j,kj->k", weights, points_t)
         wsum += weights
-        mixed += weights[:, None] * coords[u]
-    return objective, cstar, tied, (wsum[:, None] * coords - mixed) / n
+        mixed += weights[:, None] * points[u]
+    gradients = (wsum[:, None] * points - mixed) / n
+    cstar, tied, gradients = (_input_order(order, a) for a in (cstar, tied, gradients))
+    return objective, cstar, np.flatnonzero(tied), gradients
 
 
 def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:
@@ -277,9 +262,9 @@ def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> Poste
     As the bandwidth goes to zero, row i tends to the one-hot label of
     its nearest neighbour.
     """
-    layout = _class_layout(data.points, data.labels, data.num_classes)
-    _, _, values = _posterior_pass(data.points, layout, kernel.bandwidth)
-    return PosteriorMatrix(values)
+    order, classes = _class_order(data.labels, data.num_classes)
+    _, _, values = _posterior_pass(data.points[order], order, classes, kernel.bandwidth)
+    return PosteriorMatrix(_input_order(order, values))
 
 
 def estimate_bayes_error(data: LabeledDataset, kernel: SimilarityKernel) -> BayesErrorEstimate:

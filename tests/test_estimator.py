@@ -79,6 +79,23 @@ def test_posteriors_reject_an_overflowing_nearest_distance():
         estimate_posteriors(ds, K1)
 
 
+@pytest.mark.parametrize(
+    "points, labels, row",
+    [
+        ([[0.0], [1.0], [1e200]], [1, 1, 0], 2),
+        ([[0.0], [1e200], [1.0], [-1e200]], [1, 1, 1, 0], 1),
+    ],
+    ids=["sorted-first", "two-rows"],
+)
+def test_overflow_error_names_the_lowest_input_row(points, labels, row):
+    # class order puts the last row first; the error still names its input index
+    ds = LabeledDataset(points, labels, 2)
+    with pytest.raises(ValueError, match=rf"^row {row}: squared distance"):
+        estimate_posteriors(ds, K1)
+    with pytest.raises(ValueError, match=rf"^row {row}: squared distance"):
+        objective_and_gradient(ds, K1)
+
+
 def test_bayes_error_identical_points():
     ds = LabeledDataset([[0.0], [0.0], [0.0], [0.0]], [0, 0, 1, 1], 2)
     est = estimate_bayes_error(ds, K1)

@@ -235,12 +235,21 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
 
 def test_gradient_matches_dense_oracle(monkeypatch):
     default = estimator._CHUNK_ELEMENTS
-    cases = [random_dataset(13, n=40, d=2, k=3), unused_classes_dataset(13, n=40, d=2)]
-    for ds in cases:
+    cases = []
+    for ds in (random_dataset(13, n=40, d=2, k=3), unused_classes_dataset(13, n=40, d=2)):
         # one row so far away that its similarity mass underflows to zero
         far = ds.points.copy()
         far[17] = [1e3, -1e3]
-        ds = ds.with_points(far)
+        cases.append(ds.with_points(far))
+    # two such rows, 60 away on either side of a tight cluster, so both add
+    # terms of W of the same order to every cluster row; row 5 has label 2
+    # and row 30 label 0, so class order puts them the other way round
+    ds = random_dataset(13, n=40, d=2, k=3)
+    points, labels = ds.points * 0.01, ds.labels.copy()
+    points[[5, 30]] = [[60.0, 0.0], [-60.0, 0.0]]
+    labels[[5, 30]] = [2, 0]
+    cases.append(LabeledDataset(points, labels, 3))
+    for ds in cases:
         objective, gradients = dense_gradient(ds, 1.0)
         for chunk in (default,) + row_splits(ds.n):
             monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
