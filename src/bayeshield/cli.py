@@ -57,6 +57,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USER = 2
 
+# Bytes read at a time when a report fingerprints its input file.
+_HASH_CHUNK = 1 << 16
+
 # Flags that select the command or the report itself, and the run's start
 # time; every other flag is echoed into the report config.
 _NOT_ECHOED = ("command", "handler", "report", "started")
@@ -73,10 +76,14 @@ class CsvFormatError(ValueError):
 # makes round-trips byte-identical.
 
 def _write_table(path, meta: dict, header, rows) -> None:
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    lines.extend(",".join(fields) for fields in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a table a line at a time, so a large table is never held as
+    one string. ``open`` translates newlines as ``Path.write_text`` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(header) + "\n")
+        for fields in rows:
+            fh.write(",".join(fields) + "\n")
 
 
 def _read_table(path, what: str, header: bool = True) -> tuple:
@@ -267,8 +274,12 @@ def read_frozen_file(path) -> frozenset:
 
 
 def _fingerprint(path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    """sha256 of a file, read in chunks of _HASH_CHUNK bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return f"sha256:{digest.hexdigest()}"
 
 
 def write_report(path, report: dict) -> None:

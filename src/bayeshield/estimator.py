@@ -7,8 +7,11 @@ the per-sample maximum posterior.
 
 This module owns the streamed O(n^2) pairwise pass: the row-span
 runner, the kernel rows, the recomputation of rows whose similarity
-mass underflows, and both passes built on them, the posteriors here and
-the gradient that ``perturb.objective_and_gradient`` pulls back.
+mass underflows, and both passes built on them. Pass A gives the
+posteriors, and through ``_scoring_step`` the estimate together with the
+state that pass B, ``_gradient_step``, turns into the gradient that
+``perturb.objective_and_gradient`` pulls back. Scoring a sample costs
+pass A alone, so the ascent runs pass B only for a step it keeps.
 
 Each pass runs in class order: a stable sort of the labels permutes the
 coordinates and labels once on the way in, so every class owns one
@@ -199,29 +202,61 @@ def _posterior_pass(points: np.ndarray, order: np.ndarray, classes: list, bandwi
     return den, underflow, num / den[:, None]
 
 
-def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
-    """The estimate of ``coords`` and its gradient in the same coordinates.
+@dataclass(frozen=True)
+class _Scored:
+    """A sample scored by ``_scoring_step``: what pass B needs of pass A.
 
-    Returns ``(objective, argmax classes, tied rows, gradients)`` in input
-    order; the formula is on ``perturb.objective_and_gradient``. A second
-    streamed pass builds each row span of W from an (n, k) coefficient
-    table.
+    Every array but ``order`` is in class order: the coordinates and
+    labels, each row's similarity mass, the (n, k) posteriors, and each
+    row's argmax class and its posterior. ``underflow`` lists the rows
+    whose mass was recomputed, in input order.
+    """
+
+    points: np.ndarray
+    labels: np.ndarray
+    order: np.ndarray
+    bandwidth: float
+    den: np.ndarray
+    underflow: np.ndarray
+    posteriors: np.ndarray
+    cstar: np.ndarray
+    pstar: np.ndarray
+
+
+def _scoring_step(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
+    """The estimate of ``coords`` from one posterior pass, and the state
+    ``_gradient_step`` takes its gradient from, as ``(objective, scored)``.
+
+    The objective is bit-equal to ``estimate_bayes_error`` on the same
+    coordinates.
     """
     n = coords.shape[0]
     order, classes = _class_order(labels, k)
-    points, labels = coords[order], labels[order]
+    points = coords[order]
     den, underflow, posteriors = _posterior_pass(points, order, classes, bandwidth)
-
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
-    tied = (posteriors == pstar[:, None]).sum(axis=1) > 1
     # the mean sums in row order, so it runs in input order
     objective = float(1.0 - _input_order(order, pstar).mean())
+    scored = _Scored(points, labels[order], order, bandwidth, den, underflow, posteriors, cstar, pstar)
+    return objective, scored
+
+
+def _gradient_step(scored: _Scored) -> tuple:
+    """Pass B: the gradient of a scored sample's estimate in its coordinates.
+
+    Returns ``(argmax classes, tied rows, gradients)`` in input order; the
+    formula is on ``perturb.objective_and_gradient``. A second streamed
+    pass builds each row span of W from an (n, k) coefficient table.
+    """
+    points, labels, order, bandwidth = scored.points, scored.labels, scored.order, scored.bandwidth
+    n, k = scored.posteriors.shape
+    tied = (scored.posteriors == scored.pstar[:, None]).sum(axis=1) > 1
 
     # C[i, j] = table[i, y_j], so W streams from this (n, K) table
-    selected = np.arange(k) == cstar[:, None]
-    table = (selected - pstar[:, None]) / den[:, None]
+    selected = np.arange(k) == scored.cstar[:, None]
+    table = (selected - scored.pstar[:, None]) / scored.den[:, None]
     table_t = np.ascontiguousarray(table.T)
     points_t = np.ascontiguousarray(points.T)
     wsum = np.empty(n)
@@ -243,15 +278,20 @@ def _gradient_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: fl
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
     # and W[m, u] from its shifted similarities
-    for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
+    for u, row in _shifted_similarity_rows(points, order, scored.underflow, bandwidth):
         weights = table[u].take(labels) * row / (bandwidth * bandwidth)
         wsum[u] += weights.sum()
         mixed[u] += np.einsum("j,kj->k", weights, points_t)
         wsum += weights
         mixed += weights[:, None] * points[u]
-    gradients = (wsum[:, None] * points - mixed) / n
-    cstar, tied, gradients = (_input_order(order, a) for a in (cstar, tied, gradients))
-    return objective, cstar, np.flatnonzero(tied), gradients
+    # (wsum * x - mixed) / n, formed in place
+    gradients = wsum[:, None] * points
+    gradients -= mixed
+    gradients /= n
+    cstar, tied = _input_order(order, scored.cstar), _input_order(order, tied)
+    # mixed is spent, so it takes the gradients back to input order
+    mixed[order] = gradients
+    return cstar, np.flatnonzero(tied), mixed
 
 
 def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:

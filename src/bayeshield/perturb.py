@@ -26,8 +26,8 @@ from .core import (
     SimilarityKernel,
     _frozen_array,
 )
-from .embed import EmbeddingMap, embed_dataset, embed_points, pullback_gradients
-from .estimator import _gradient_pass, estimate_bayes_error
+from .embed import EmbeddingMap, embed_points, pullback_gradients
+from .estimator import _gradient_step, _scoring_step
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -130,16 +130,8 @@ def objective_and_gradient(
     in the embedding space and the gradient is pulled back to the input
     space, while ``objective`` is the estimate of the embedded sample.
     """
-    coords = data.points if embedding is None else embed_points(embedding, data.points)
-    objective, cstar, tied, grads_emb = _gradient_pass(
-        coords, data.labels, data.num_classes, kernel.bandwidth
-    )
-
-    if embedding is not None:
-        grads = pullback_gradients(embedding, data.points, grads_emb)
-    else:
-        grads = grads_emb
-
+    objective, scored = _score(data.points, data, kernel, embedding)
+    cstar, tied, grads = _input_gradients(scored, data.points, embedding)
     return GradientReport(
         objective=objective,
         gradients=grads,
@@ -148,16 +140,36 @@ def objective_and_gradient(
     )
 
 
-def _project_rows(deltas: np.ndarray, constraint: PerturbationConstraint) -> np.ndarray:
-    if constraint.norm_order == "linf":
-        return np.clip(deltas, -constraint.radius, constraint.radius)
+def _score(points: np.ndarray, data: LabeledDataset, kernel: SimilarityKernel, embedding) -> tuple:
+    """``_scoring_step`` on ``points``, which carry ``data``'s labels, in
+    the space where similarity is taken."""
+    coords = points if embedding is None else embed_points(embedding, points)
+    return _scoring_step(coords, data.labels, data.num_classes, kernel.bandwidth)
+
+
+def _input_gradients(scored, points: np.ndarray, embedding) -> tuple:
+    """``_gradient_step`` of a scored sample, with the gradients pulled
+    back to the input space of ``points``."""
+    cstar, tied, grads = _gradient_step(scored)
+    if embedding is not None:
+        grads = pullback_gradients(embedding, points, grads)
+    return cstar, tied, grads
+
+
+def _project_rows(
+    deltas: np.ndarray, constraint: PerturbationConstraint, scratch: np.ndarray
+) -> np.ndarray:
+    """Project every row of ``deltas`` onto the constraint ball in place
+    and return it; ``scratch``, an array of the same shape, is overwritten."""
     radius = constraint.radius
+    if constraint.norm_order == "linf":
+        return np.clip(deltas, -radius, radius, out=deltas)
     with np.errstate(over="ignore"):
-        norms = np.sqrt((deltas * deltas).sum(axis=1))
+        norms = np.sqrt(np.multiply(deltas, deltas, out=scratch).sum(axis=1))
         factors = np.ones(deltas.shape[0])
-        over = norms > radius + PROJECTION_SLACK
+        over = np.isfinite(norms) & (norms > radius + PROJECTION_SLACK)
         factors[over] = radius / norms[over]
-        projected = deltas * factors[:, None]
+        deltas *= factors[:, None]
         # a row whose squared norm overflows is measured and projected
         # after dividing it by its largest entry; the other rows keep the
         # plain formula and its bits
@@ -166,10 +178,8 @@ def _project_rows(deltas: np.ndarray, constraint: PerturbationConstraint) -> np.
             unit = deltas[i] / scale
             norm = np.sqrt((unit * unit).sum())
             if norm * scale > radius + PROJECTION_SLACK:
-                projected[i] = unit * (radius / norm)
-            else:
-                projected[i] = deltas[i]
-    return projected
+                deltas[i] = unit * (radius / norm)
+    return deltas
 
 
 def project(delta, constraint: PerturbationConstraint) -> np.ndarray:
@@ -180,10 +190,10 @@ def project(delta, constraint: PerturbationConstraint) -> np.ndarray:
     ones are rescaled onto the sphere. The feasibility test allows
     PROJECTION_SLACK of rounding so the operation is exactly idempotent.
     """
-    dv = np.asarray(delta, dtype=np.float64).ravel()
+    dv = np.array(delta, dtype=np.float64).reshape(1, -1)
     if not np.all(np.isfinite(dv)):
         raise ValueError("delta must be finite")
-    return _project_rows(dv[None, :], constraint)[0]
+    return _project_rows(dv, constraint, np.empty_like(dv))[0]
 
 
 def pga_maximize(
@@ -204,6 +214,12 @@ def pga_maximize(
     gradient; one still rejected after MAX_HALVINGS halvings keeps the
     deltas and ends the ascent. Labels never change.
 
+    A candidate is scored by one posterior pass, so a rejected candidate
+    costs that pass alone; only a kept step that another step follows
+    pays the gradient's second pass and the pullback. The loop holds
+    four (n, d) arrays, the deltas, the candidate, the perturbed points
+    and the gradient, and overwrites them in place.
+
     The trace has ``max_iterations + 1`` entries: entry t is the estimate
     before step t and the last is the estimate of the returned dataset,
     bit-equal to calling the estimator on it.
@@ -217,25 +233,39 @@ def pga_maximize(
     frozen_rows = np.fromiter(sorted(constraint.frozen), dtype=np.int64, count=len(constraint.frozen))
     iterations = config.max_iterations
 
-    def evaluate(deltas: np.ndarray, last: bool) -> tuple:
-        # the next step's gradient pass scores a candidate, the estimate the last
-        points = data.with_points(data.points + deltas)
-        if last:
-            target = points if embedding is None else embed_dataset(embedding, points)
-            return estimate_bayes_error(target, kernel).value, None
-        report = objective_and_gradient(points, kernel, embedding)
-        return report.objective, report
+    def score(points: np.ndarray) -> tuple:
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points contain non-finite values")
+        return _score(points, data, kernel, embedding)
+
+    def gradient(scored, points: np.ndarray) -> np.ndarray:
+        grads = _input_gradients(scored, points, embedding)[2]
+        if not np.all(np.isfinite(grads)):
+            raise ValueError("gradients contain non-finite values")
+        return grads
 
     deltas = np.zeros_like(data.points)
-    value, report = evaluate(deltas, iterations == 0)
+    candidate = np.empty_like(deltas)
+    points = data.points + deltas
+    value, scored = score(points)
+    gradients = gradient(scored, points) if iterations else None
     trace, halvings = [value], []
 
     for t in range(iterations):
         step = config.step_size
         for halved in range(MAX_HALVINGS + 1):
-            candidate = _project_rows(deltas + step * report.gradients, constraint)
+            np.multiply(gradients, step, out=candidate)
+            candidate += deltas
+            # the points are rewritten next, so they serve as scratch
+            _project_rows(candidate, constraint, points)
             candidate[frozen_rows] = 0.0
-            value, candidate_report = evaluate(candidate, t == iterations - 1)
+            np.add(data.points, candidate, out=points)
+            try:
+                value, scored = score(points)
+            except ValueError as exc:
+                raise ValueError(
+                    f"ascent step {t} at step size {step!r}, radius {constraint.radius!r}: {exc}"
+                ) from exc
             if value >= trace[-1] - MONOTONE_SLACK:
                 break
             step /= 2
@@ -244,12 +274,20 @@ def pga_maximize(
             trace.extend([trace[-1]] * (iterations - t))
             halvings.extend([MAX_HALVINGS + 1] * (iterations - t))
             break
-        deltas, report = candidate, candidate_report
+        deltas, candidate = candidate, deltas
         trace.append(value)
         halvings.append(halved)
+        if t < iterations - 1:
+            # the spent gradient is released before the next one is made
+            gradients = None
+            gradients = gradient(scored, points)
 
+    # a stalled step left its last candidate in the points
+    np.add(data.points, deltas, out=points)
+    # the result copies two arrays, so the loop's other buffers go first
+    candidate = gradients = scored = None
     return PgaResult(
-        perturbed=data.with_points(data.points + deltas),
+        perturbed=data.with_points(points),
         deltas=deltas,
         trace=np.asarray(trace),
         halvings=tuple(halvings),

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,25 @@ def test_dataset_round_trip_bytes(tmp_path):
     assert loaded.num_classes == 3
     write_dataset_csv(second, loaded)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("table", ["dataset", "deltas"])
+def test_table_writers_hold_one_row_at_a_time(tmp_path, table):
+    rng = np.random.default_rng(8)
+    ds = LabeledDataset(rng.normal(size=(200, 3072)), rng.integers(0, 10, 200), 10)
+    path = tmp_path / f"{table}.csv"
+    tracemalloc.start()
+    try:
+        if table == "dataset":
+            write_dataset_csv(path, ds)
+        else:
+            write_deltas_csv(path, ds.points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the table's text is about 12 MB, one row of it about 60 kB
+    assert path.stat().st_size > 10e6
+    assert peak < 1e6
 
 
 def test_dataset_infers_class_count(tmp_path):
@@ -324,6 +344,21 @@ def test_perturb_overflowing_default_step_names_the_budget(tmp_path, capsys):
     code = main(["perturb", str(path), "--eps", "1e308", "--sigma", "1", "--out", str(out)])
     assert code == 2
     assert "overflows at n=600, radius=1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_perturb_overflowing_ascent_step_names_the_step(tmp_path, capsys):
+    # the default step 0.0036 * 300 * 1e308 is finite, but the rows it
+    # moves lie too far apart for their squared distances
+    path = tmp_path / "wide.csv"
+    rng = np.random.default_rng(5)
+    write_dataset_csv(path, LabeledDataset(rng.normal(size=(300, 2)), rng.integers(0, 2, 300), 2))
+    out = tmp_path / "out.csv"
+    code = main(["perturb", str(path), "--eps", "1e308", "--sigma", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ascent step 0 at step size 1.08e+308, radius 1e+308: " in err
+    assert "nearest neighbour overflows" in err
     assert not out.exists()
 
 

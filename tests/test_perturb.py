@@ -316,6 +316,29 @@ def test_gradient_memory_is_linear():
     assert peak < n * n * 8 / 4
 
 
+@pytest.mark.parametrize("norm, radius", [("linf", 8 / 255), ("l2", 0.5)])
+def test_pga_memory_is_a_few_point_arrays(norm, radius):
+    # CIFAR-shaped rows through an embedding, so the pairwise pass is small
+    n, d = 200, 3072
+    rng = np.random.default_rng(15)
+    ds = LabeledDataset(rng.uniform(size=(n, d)), rng.integers(0, 10, n), 10)
+    embedding = EmbeddingMap((
+        EmbeddingLayer(rng.normal(0.0, d**-0.5, (16, d)), np.zeros(16), "tanh"),
+        EmbeddingLayer(rng.normal(0.0, 0.25, (8, 16)), np.zeros(8), "tanh"),
+    ))
+    c = PerturbationConstraint(norm_order=norm, radius=radius)
+    config = PgaConfig(step_size=default_step_size(n, radius), max_iterations=2)
+    tracemalloc.start()
+    try:
+        pga_maximize(ds, SimilarityKernel(0.4), c, config, embedding=embedding)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the deltas, the candidate, the perturbed points and the gradient,
+    # then the result's two copies in place of the candidate and gradient
+    assert peak < 5 * n * d * 8
+
+
 def test_project_linf_inside_unchanged():
     c = PerturbationConstraint(norm_order="linf", radius=0.1)
     row = np.array([0.05, -0.03])
@@ -340,7 +363,7 @@ def test_project_l2_rows_whose_squared_norm_overflows():
     batch = np.vstack([rows, [[1e200, 1e200], [1.7e308, -1.7e308]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _project_rows(batch, c)
+        out = _project_rows(batch.copy(), c, np.empty_like(batch))
     # the other rows keep the bits of the plain formula
     norms = np.sqrt((rows * rows).sum(axis=1))
     factors = np.where(norms > 1.0 + 1e-12, 1.0 / norms, 1.0)
@@ -395,6 +418,17 @@ def test_pga_trace_endpoints_and_length():
     assert result.trace[-1] == estimate_bayes_error(result.perturbed, K1).value
 
 
+def test_pga_result_holds_read_only_copies():
+    # the ascent overwrites its buffers in place, so the result must copy them
+    ds = random_dataset(1, n=12, d=2)
+    c = PerturbationConstraint(norm_order="linf", radius=0.3)
+    result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.02, max_iterations=3))
+    arrays = (result.deltas, result.perturbed.points, result.trace)
+    assert not any(a.flags.writeable for a in arrays)
+    assert all(a.flags.owndata for a in arrays)
+    assert result.perturbed.points.tobytes() == (ds.points + result.deltas).tobytes()
+
+
 def test_pga_small_step_monotone():
     ds = random_dataset(2, n=12, d=2)
     c = PerturbationConstraint(norm_order="l2", radius=0.3)
@@ -440,8 +474,9 @@ def assert_ascends(trace):
 
 
 def count_passes(monkeypatch):
-    """Count the gradient passes and the estimator passes of PGA runs."""
-    calls = {"gradient": 0, "estimate": 0}
+    """Count the posterior passes (pass A, which scores a sample) and the
+    gradient's second passes (pass B) of PGA runs."""
+    calls = {"posterior": 0, "gradient": 0}
 
     def counted(name, module, key):
         original = getattr(module, name)
@@ -452,19 +487,24 @@ def count_passes(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted("objective_and_gradient", perturb, "gradient")
-    counted("estimate_posteriors", estimator, "estimate")
+    counted("_posterior_pass", estimator, "posterior")
+    counted("_gradient_step", perturb, "gradient")
     return calls
 
 
-def test_pga_huge_step_halves_and_ascends():
+def test_pga_huge_step_halves_and_ascends(monkeypatch):
     ds = random_dataset(7, n=14, d=2)
     c = PerturbationConstraint(norm_order="l2", radius=0.5)
     config = PgaConfig(step_size=50.0, max_iterations=12)
+    calls = count_passes(monkeypatch)
     result = pga_maximize(ds, K1, c, config)
     assert_ascends(result.trace)
     assert len(result.halvings) == 12
     assert 0 < max(result.halvings) <= MAX_HALVINGS
+    # every candidate is scored by one posterior pass, and pass B runs for
+    # the start and for each kept step but the last
+    assert calls["posterior"] == 1 + sum(h + 1 for h in result.halvings)
+    assert calls["gradient"] == 1 + 11
 
 
 def test_pga_far_row_ascends():
@@ -510,7 +550,7 @@ def test_pga_stalled_step_keeps_deltas(monkeypatch, iterations):
     calls = count_passes(monkeypatch)
     # every halving of this step still saturates the budget and lowers the estimate
     result = pga_maximize(ds, K1, c, PgaConfig(step_size=1e300, max_iterations=iterations))
-    assert calls["gradient"] + calls["estimate"] <= MAX_HALVINGS + 2
+    assert calls == {"posterior": 1 + MAX_HALVINGS + 1, "gradient": 1}
     np.testing.assert_array_equal(result.deltas, np.zeros((12, 2)))
     np.testing.assert_array_equal(result.perturbed.points, ds.points)
     assert np.all(result.trace == estimate_bayes_error(ds, K1).value)
@@ -524,7 +564,7 @@ def test_pga_without_halvings_makes_one_pass_per_step(monkeypatch):
     calls = count_passes(monkeypatch)
     result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=15))
     assert result.halvings == (0,) * 15
-    assert calls == {"gradient": 15, "estimate": 1}
+    assert calls == {"posterior": 16, "gradient": 15}
 
 
 def test_pga_deterministic_rerun():
