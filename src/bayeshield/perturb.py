@@ -14,6 +14,7 @@ and the ascent.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .core import (
     _frozen_array,
 )
 from .embed import EmbeddingMap, embed_points, pullback_gradients
-from .estimator import _gradient_step, _scoring_step
+from .estimator import _gradient_step, _scoring_step, estimate_bayes_error
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -106,7 +107,9 @@ def objective_and_gradient(
     data: LabeledDataset,
     kernel: SimilarityKernel,
     embedding: EmbeddingMap | None = None,
-) -> GradientReport:
+    *,
+    floor: float | None = None,
+) -> GradientReport | None:
     """Bayes error estimate and its analytic gradient, streamed in row spans.
 
     Each row's argmax class c*_i is fixed first (ties go to the lowest
@@ -129,31 +132,24 @@ def objective_and_gradient(
     When ``embedding`` is given, similarity and the gradient are taken
     in the embedding space and the gradient is pulled back to the input
     space, while ``objective`` is the estimate of the embedded sample.
+
+    The posterior pass gives the objective; the gradient takes a second
+    pass. When the objective falls below ``floor``, that second pass and
+    the pullback are skipped and the call returns None.
     """
-    objective, scored = _score(data.points, data, kernel, embedding)
-    cstar, tied, grads = _input_gradients(scored, data.points, embedding)
+    coords = data.points if embedding is None else embed_points(embedding, data.points)
+    objective, scored = _scoring_step(coords, data.labels, data.num_classes, kernel.bandwidth)
+    if floor is not None and objective < floor:
+        return None
+    cstar, tied, grads = _gradient_step(scored)
+    if embedding is not None:
+        grads = pullback_gradients(embedding, data.points, grads)
     return GradientReport(
         objective=objective,
         gradients=grads,
         argmax_classes=cstar,
         tied_rows=tied,
     )
-
-
-def _score(points: np.ndarray, data: LabeledDataset, kernel: SimilarityKernel, embedding) -> tuple:
-    """``_scoring_step`` on ``points``, which carry ``data``'s labels, in
-    the space where similarity is taken."""
-    coords = points if embedding is None else embed_points(embedding, points)
-    return _scoring_step(coords, data.labels, data.num_classes, kernel.bandwidth)
-
-
-def _input_gradients(scored, points: np.ndarray, embedding) -> tuple:
-    """``_gradient_step`` of a scored sample, with the gradients pulled
-    back to the input space of ``points``."""
-    cstar, tied, grads = _gradient_step(scored)
-    if embedding is not None:
-        grads = pullback_gradients(embedding, points, grads)
-    return cstar, tied, grads
 
 
 def _project_rows(
@@ -196,6 +192,16 @@ def project(delta, constraint: PerturbationConstraint) -> np.ndarray:
     return _project_rows(dv, constraint, np.empty_like(dv))[0]
 
 
+@contextmanager
+def _naming_step(t: int, step: float, radius: float):
+    """Prefix a ValueError raised on ascent step ``t`` with its step size
+    and the budget's radius."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"ascent step {t} at step size {step!r}, radius {radius!r}: {exc}") from exc
+
+
 def pga_maximize(
     data: LabeledDataset,
     kernel: SimilarityKernel,
@@ -216,9 +222,12 @@ def pga_maximize(
 
     A candidate is scored by one posterior pass, so a rejected candidate
     costs that pass alone; only a kept step that another step follows
-    pays the gradient's second pass and the pullback. The loop holds
-    four (n, d) arrays, the deltas, the candidate, the perturbed points
-    and the gradient, and overwrites them in place.
+    pays the gradient's second pass and the pullback. Candidates are
+    scored where similarity is taken: through ``objective_and_gradient``
+    with the acceptance bound as its ``floor``, and at the last step
+    through ``estimate_bayes_error``. Besides that scored sample, the
+    loop holds four (n, d) arrays, the deltas, the candidate, the
+    perturbed points and the gradient, and overwrites them in place.
 
     The trace has ``max_iterations + 1`` entries: entry t is the estimate
     before step t and the last is the estimate of the returned dataset,
@@ -233,13 +242,24 @@ def pga_maximize(
     frozen_rows = np.fromiter(sorted(constraint.frozen), dtype=np.int64, count=len(constraint.frozen))
     iterations = config.max_iterations
 
-    def score(points: np.ndarray) -> tuple:
+    def score(points: np.ndarray, floor: float, last: bool) -> tuple:
+        """``(value, report)`` of a candidate: its estimate where similarity
+        is taken, None below ``floor``, and the gradient report there when
+        another step follows."""
         if not np.all(np.isfinite(points)):
             raise ValueError("points contain non-finite values")
-        return _score(points, data, kernel, embedding)
+        coords = points if embedding is None else embed_points(embedding, points)
+        sample = data.with_points(coords)
+        if last:
+            value = estimate_bayes_error(sample, kernel).value
+            return (value if value >= floor else None), None
+        report = objective_and_gradient(sample, kernel, floor=floor)
+        return (None, None) if report is None else (report.objective, report)
 
-    def gradient(scored, points: np.ndarray) -> np.ndarray:
-        grads = _input_gradients(scored, points, embedding)[2]
+    def gradient(report: GradientReport, points: np.ndarray) -> np.ndarray:
+        if embedding is None:
+            return report.gradients
+        grads = pullback_gradients(embedding, points, report.gradients)
         if not np.all(np.isfinite(grads)):
             raise ValueError("gradients contain non-finite values")
         return grads
@@ -247,12 +267,13 @@ def pga_maximize(
     deltas = np.zeros_like(data.points)
     candidate = np.empty_like(deltas)
     points = data.points + deltas
-    value, scored = score(points)
-    gradients = gradient(scored, points) if iterations else None
+    value, report = score(points, -np.inf, iterations == 0)
+    gradients = gradient(report, points) if iterations else None
     trace, halvings = [value], []
 
     for t in range(iterations):
         step = config.step_size
+        floor = trace[-1] - MONOTONE_SLACK
         for halved in range(MAX_HALVINGS + 1):
             np.multiply(gradients, step, out=candidate)
             candidate += deltas
@@ -260,13 +281,9 @@ def pga_maximize(
             _project_rows(candidate, constraint, points)
             candidate[frozen_rows] = 0.0
             np.add(data.points, candidate, out=points)
-            try:
-                value, scored = score(points)
-            except ValueError as exc:
-                raise ValueError(
-                    f"ascent step {t} at step size {step!r}, radius {constraint.radius!r}: {exc}"
-                ) from exc
-            if value >= trace[-1] - MONOTONE_SLACK:
+            with _naming_step(t, step, constraint.radius):
+                value, report = score(points, floor, t == iterations - 1)
+            if value is not None:
                 break
             step /= 2
         else:
@@ -277,18 +294,20 @@ def pga_maximize(
         deltas, candidate = candidate, deltas
         trace.append(value)
         halvings.append(halved)
-        if t < iterations - 1:
+        if report is not None:
             # the spent gradient is released before the next one is made
             gradients = None
-            gradients = gradient(scored, points)
+            with _naming_step(t, step, constraint.radius):
+                gradients = gradient(report, points)
 
     # a stalled step left its last candidate in the points
     np.add(data.points, deltas, out=points)
     # the result copies two arrays, so the loop's other buffers go first
-    candidate = gradients = scored = None
+    candidate = gradients = report = None
     return PgaResult(
         perturbed=data.with_points(points),
         deltas=deltas,
         trace=np.asarray(trace),
         halvings=tuple(halvings),
     )
+

@@ -180,6 +180,21 @@ def test_gradient_objective_equals_estimate(k, embedded):
     )
 
 
+@pytest.mark.parametrize("embedded", [False, True], ids=["plain", "embedded"])
+def test_gradient_floor_skips_pass_b_below_it(monkeypatch, embedded):
+    ds = random_dataset(3, n=15, d=3, k=3)
+    embedding = tanh_embedding(3) if embedded else None
+    full = objective_and_gradient(ds, K1, embedding=embedding)
+    calls = count_passes(monkeypatch)
+    kept = objective_and_gradient(ds, K1, embedding=embedding, floor=full.objective)
+    assert kept.objective == full.objective
+    assert kept.gradients.tobytes() == full.gradients.tobytes()
+    assert calls == {"posterior": 1, "gradient": 1}
+    above = np.nextafter(full.objective, 1.0)
+    assert objective_and_gradient(ds, K1, embedding=embedding, floor=above) is None
+    assert calls == {"posterior": 2, "gradient": 1}
+
+
 def test_gradient_matches_finite_differences_three_point():
     ds = three_point_dataset()
     report = objective_and_gradient(ds, K1)
@@ -565,6 +580,47 @@ def test_pga_without_halvings_makes_one_pass_per_step(monkeypatch):
     result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=15))
     assert result.halvings == (0,) * 15
     assert calls == {"posterior": 16, "gradient": 15}
+
+
+def test_pga_scores_through_the_public_passes(monkeypatch):
+    # every step but the last is scored by objective_and_gradient, the last
+    # by the estimator, so a tracer of the public functions sees each pass
+    ds = random_dataset(2, n=12, d=2)
+    c = PerturbationConstraint(norm_order="l2", radius=0.3)
+    calls = {"objective_and_gradient": 0, "estimate_posteriors": 0}
+    for module, name in ((perturb, "objective_and_gradient"), (estimator, "estimate_posteriors")):
+        def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=15))
+    assert result.halvings == (0,) * 15
+    assert calls == {"objective_and_gradient": 15, "estimate_posteriors": 1}
+
+
+@pytest.mark.parametrize("source", ["_gradient_step", "pullback_gradients"])
+def test_pga_non_finite_kept_gradient_names_the_step(monkeypatch, source):
+    ds = random_dataset(2, n=12, d=2)
+    embedding = tanh_embedding(2) if source == "pullback_gradients" else None
+    original = getattr(perturb, source)
+    calls = []
+
+    def poisoned(*args):
+        out = original(*args)
+        calls.append(None)
+        if len(calls) < 2:
+            return out
+        if source == "_gradient_step":
+            return out[:2] + (np.full_like(out[2], np.inf),)
+        return np.full_like(out, np.inf)
+
+    monkeypatch.setattr(perturb, source, poisoned)
+    c = PerturbationConstraint(norm_order="l2", radius=0.3)
+    # the start's gradient is finite, the first kept step's is not
+    with pytest.raises(ValueError, match=r"^ascent step 0 at step size 0\.005, radius 0\.3: "
+                       r"gradients contain non-finite values$"):
+        pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=3), embedding=embedding)
 
 
 def test_pga_deterministic_rerun():
