@@ -86,7 +86,8 @@ class SimilarityKernel:
 
     The streamed pairwise pass evaluates it as exp(-||a - b||^2 /
     (2 sigma^2)), which is symmetric in its arguments, bounded in (0, 1],
-    and equals 1 exactly when a = b.
+    and equals 1 exactly when a = b. sigma^2 must be a normal float64,
+    so sigma is at least about 1.49e-154.
     """
 
     bandwidth: float
@@ -95,6 +96,11 @@ class SimilarityKernel:
         bw = float(self.bandwidth)
         if not np.isfinite(bw) or bw <= 0:
             raise ValueError(f"bandwidth must be a positive finite real, got {bw}")
+        if bw * bw < np.finfo(np.float64).tiny:
+            raise ValueError(
+                f"bandwidth {bw!r} is too small: its square is below the smallest "
+                "normal float64, so sigma must be at least about 1.49e-154"
+            )
         object.__setattr__(self, "bandwidth", bw)
 
 

@@ -202,6 +202,7 @@ def load_embedding(path) -> EmbeddingMap:
             layers.append(
                 EmbeddingLayer(entry["weight"], entry["bias"], entry["activation"])
             )
-        except (TypeError, ValueError) as exc:
+        # an integer literal too large for float64 raises OverflowError
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"embedding file {path}: layer {idx}: {exc}") from exc
     return EmbeddingMap(tuple(layers))

@@ -7,11 +7,12 @@ the per-sample maximum posterior.
 
 This module owns the streamed O(n^2) pairwise pass: the row-span
 runner, the kernel rows, the recomputation of rows whose similarity
-mass underflows, and both passes built on them. Pass A gives the
-posteriors, and through ``_scoring_step`` the estimate together with the
-state that pass B, ``_gradient_step``, turns into the gradient that
-``perturb.objective_and_gradient`` pulls back. Scoring a sample costs
-pass A alone, so the ascent runs pass B only for a step it keeps.
+mass underflows, and both passes built on them. Pass A,
+``_posterior_pass``, gives the posteriors. ``_objective_and_gradient``
+takes the estimate from it and, unless that falls below a floor, runs
+pass B for the gradient that ``perturb.objective_and_gradient`` pulls
+back. Scoring a sample costs pass A alone, so the ascent runs pass B
+only for a step it keeps.
 
 Each pass runs in class order: a stable sort of the labels permutes the
 coordinates and labels once on the way in, so every class owns one
@@ -109,19 +110,6 @@ def _run_row_spans(fill, n: int) -> None:
             future.result()
 
 
-def _class_order(labels: np.ndarray, k: int) -> tuple:
-    """``(order, classes)``: a stable argsort of the labels, and for every
-    class c the slice ``classes[c]`` of rows and columns it owns once they
-    are in that order, empty for an unused class."""
-    # scipy.spatial is most of the package's import time, so it loads on
-    # the first pass, here on the calling thread before any span runs
-    import scipy.spatial.distance  # noqa: F401
-
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
-    return order, [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-
-
 def _input_order(order: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Rows of a pass in class order, moved back to input order."""
     out = np.empty_like(values)
@@ -172,19 +160,29 @@ def _shifted_similarity_rows(
         yield u, row
 
 
-def _posterior_pass(points: np.ndarray, order: np.ndarray, classes: list, bandwidth: float):
-    """Leave-one-out posteriors of ``points``, given in the class order of
-    ``_class_order``, and the sums behind them.
+def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
+    """Leave-one-out posteriors of ``coords`` and the sums behind them,
+    computed in class order.
 
-    Returns ``(den, underflow, posteriors)`` in that order: each row's
+    Returns ``(order, points, den, underflow, posteriors)``: the stable
+    argsort of the labels, the coordinates in that order, each row's
     similarity mass, the rows whose mass is zero or subnormal, listed in
-    input order, and the (n, k) posteriors. Those rows are recomputed by
+    input order, and the (n, k) posteriors; ``den`` and ``posteriors``
+    are in class order. The rows in ``underflow`` are recomputed by
     ``_shifted_similarity_rows``, so their ``den`` is the shifted mass.
     The estimator and the gradient both read this one streamed pass, so
     the objective of the gradient is bit-equal to the estimate.
     """
+    # scipy.spatial is most of the package's import time, so it loads on
+    # the first pass, here on the calling thread before any span runs
+    import scipy.spatial.distance  # noqa: F401
+
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
+    classes = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    points = coords[order]
     n = points.shape[0]
-    num = np.empty((n, len(classes)))
+    num = np.empty((n, k))
 
     def fill(span, scratch) -> None:
         lo, hi = span
@@ -199,64 +197,36 @@ def _posterior_pass(points: np.ndarray, order: np.ndarray, classes: list, bandwi
     for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
         num[u] = [row[columns].sum() for columns in classes]
         den[u] = num[u].sum()
-    return den, underflow, num / den[:, None]
+    return order, points, den, underflow, num / den[:, None]
 
 
-@dataclass(frozen=True)
-class _Scored:
-    """A sample scored by ``_scoring_step``: what pass B needs of pass A.
+def _objective_and_gradient(
+    coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float, floor: float | None
+) -> tuple:
+    """The estimate of ``coords`` and its gradient in those coordinates.
 
-    Every array but ``order`` is in class order: the coordinates and
-    labels, each row's similarity mass, the (n, k) posteriors, and each
-    row's argmax class and its posterior. ``underflow`` lists the rows
-    whose mass was recomputed, in input order.
+    Returns ``(objective, None)`` when the objective, taken from one
+    posterior pass and bit-equal to ``estimate_bayes_error``, falls below
+    ``floor``, and otherwise ``(objective, (tied rows, gradients))`` in
+    input order; the formula is on ``perturb.objective_and_gradient``.
+    The gradient takes a second streamed pass, pass B, which builds each
+    row span of W from an (n, k) coefficient table.
     """
-
-    points: np.ndarray
-    labels: np.ndarray
-    order: np.ndarray
-    bandwidth: float
-    den: np.ndarray
-    underflow: np.ndarray
-    posteriors: np.ndarray
-    cstar: np.ndarray
-    pstar: np.ndarray
-
-
-def _scoring_step(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
-    """The estimate of ``coords`` from one posterior pass, and the state
-    ``_gradient_step`` takes its gradient from, as ``(objective, scored)``.
-
-    The objective is bit-equal to ``estimate_bayes_error`` on the same
-    coordinates.
-    """
-    n = coords.shape[0]
-    order, classes = _class_order(labels, k)
-    points = coords[order]
-    den, underflow, posteriors = _posterior_pass(points, order, classes, bandwidth)
+    order, points, den, underflow, posteriors = _posterior_pass(coords, labels, k, bandwidth)
+    n = points.shape[0]
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     # the mean sums in row order, so it runs in input order
     objective = float(1.0 - _input_order(order, pstar).mean())
-    scored = _Scored(points, labels[order], order, bandwidth, den, underflow, posteriors, cstar, pstar)
-    return objective, scored
-
-
-def _gradient_step(scored: _Scored) -> tuple:
-    """Pass B: the gradient of a scored sample's estimate in its coordinates.
-
-    Returns ``(argmax classes, tied rows, gradients)`` in input order; the
-    formula is on ``perturb.objective_and_gradient``. A second streamed
-    pass builds each row span of W from an (n, k) coefficient table.
-    """
-    points, labels, order, bandwidth = scored.points, scored.labels, scored.order, scored.bandwidth
-    n, k = scored.posteriors.shape
-    tied = (scored.posteriors == scored.pstar[:, None]).sum(axis=1) > 1
+    if floor is not None and objective < floor:
+        return objective, None
+    labels = labels[order]
+    tied = (posteriors == pstar[:, None]).sum(axis=1) > 1
 
     # C[i, j] = table[i, y_j], so W streams from this (n, K) table
-    selected = np.arange(k) == scored.cstar[:, None]
-    table = (selected - scored.pstar[:, None]) / scored.den[:, None]
+    selected = np.arange(k) == cstar[:, None]
+    table = (selected - pstar[:, None]) / den[:, None]
     table_t = np.ascontiguousarray(table.T)
     points_t = np.ascontiguousarray(points.T)
     wsum = np.empty(n)
@@ -278,7 +248,7 @@ def _gradient_step(scored: _Scored) -> tuple:
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
     # and W[m, u] from its shifted similarities
-    for u, row in _shifted_similarity_rows(points, order, scored.underflow, bandwidth):
+    for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
         weights = table[u].take(labels) * row / (bandwidth * bandwidth)
         wsum[u] += weights.sum()
         mixed[u] += np.einsum("j,kj->k", weights, points_t)
@@ -288,10 +258,9 @@ def _gradient_step(scored: _Scored) -> tuple:
     gradients = wsum[:, None] * points
     gradients -= mixed
     gradients /= n
-    cstar, tied = _input_order(order, scored.cstar), _input_order(order, tied)
     # mixed is spent, so it takes the gradients back to input order
     mixed[order] = gradients
-    return cstar, np.flatnonzero(tied), mixed
+    return objective, (np.flatnonzero(_input_order(order, tied)), mixed)
 
 
 def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:
@@ -302,8 +271,9 @@ def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> Poste
     As the bandwidth goes to zero, row i tends to the one-hot label of
     its nearest neighbour.
     """
-    order, classes = _class_order(data.labels, data.num_classes)
-    _, _, values = _posterior_pass(data.points[order], order, classes, kernel.bandwidth)
+    order, _, _, _, values = _posterior_pass(
+        data.points, data.labels, data.num_classes, kernel.bandwidth
+    )
     return PosteriorMatrix(_input_order(order, values))
 
 

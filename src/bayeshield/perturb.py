@@ -7,9 +7,10 @@ each row's cumulative perturbation back onto its L^p ball. Frozen rows
 keep a bit-zero perturbation throughout, which models releasing a mix
 of clean and perturbed data.
 
-The estimate and its gradient come from the streamed pairwise pass in
-``estimator``; this module adds the embedding pullback, the projection
-and the ascent.
+The estimate and its gradient come from the streamed pairwise passes
+behind ``estimator._objective_and_gradient``, the one private name this
+module imports; it adds the embedding pullback, the projection and the
+ascent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
     _frozen_array,
 )
 from .embed import EmbeddingMap, embed_points, pullback_gradients
-from .estimator import _gradient_step, _scoring_step, estimate_bayes_error
+from .estimator import _objective_and_gradient, estimate_bayes_error
 
 # Slack for norm-budget feasibility checks. Radial rescaling lands on
 # the sphere only up to rounding, so exact idempotence needs the
@@ -63,28 +64,22 @@ class StepSizeWarning(RuntimeWarning):
 class GradientReport:
     """Objective value and its gradient with respect to every point.
 
-    ``argmax_classes`` records the per-row class the max was linearized
-    at; ``tied_rows`` lists rows where that max is attained by more
+    ``tied_rows`` lists rows whose maximal posterior is attained by more
     than one class (the objective is non-smooth there and the gradient
     is a subgradient).
     """
 
     objective: float
     gradients: np.ndarray
-    argmax_classes: np.ndarray
     tied_rows: tuple = ()
 
     def __post_init__(self) -> None:
         grads = _frozen_array(self.gradients, np.float64)
-        classes = _frozen_array(self.argmax_classes, np.int64)
         if grads.ndim != 2:
             raise ValueError(f"gradients must be 2-d, got shape {grads.shape}")
-        if classes.shape != (grads.shape[0],):
-            raise ValueError("argmax_classes length does not match gradient rows")
         if not np.all(np.isfinite(grads)):
             raise ValueError("gradients contain non-finite values")
         object.__setattr__(self, "gradients", grads)
-        object.__setattr__(self, "argmax_classes", classes)
         object.__setattr__(self, "objective", float(self.objective))
         object.__setattr__(self, "tied_rows", tuple(int(i) for i in self.tied_rows))
 
@@ -138,18 +133,15 @@ def objective_and_gradient(
     the pullback are skipped and the call returns None.
     """
     coords = data.points if embedding is None else embed_points(embedding, data.points)
-    objective, scored = _scoring_step(coords, data.labels, data.num_classes, kernel.bandwidth)
-    if floor is not None and objective < floor:
+    objective, gradient = _objective_and_gradient(
+        coords, data.labels, data.num_classes, kernel.bandwidth, floor
+    )
+    if gradient is None:
         return None
-    cstar, tied, grads = _gradient_step(scored)
+    tied, grads = gradient
     if embedding is not None:
         grads = pullback_gradients(embedding, data.points, grads)
-    return GradientReport(
-        objective=objective,
-        gradients=grads,
-        argmax_classes=cstar,
-        tied_rows=tied,
-    )
+    return GradientReport(objective=objective, gradients=grads, tied_rows=tied)
 
 
 def _project_rows(

@@ -221,6 +221,24 @@ def test_estimate_rejects_nonpositive_sigma(tmp_path, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma, code", [("1e-300", 2), ("1e-150", 0)])
+def test_estimate_tiny_sigma_warns_nothing(tmp_path, sigma, code):
+    # 1e-300 squared is zero in float64; 1e-150 squared is still normal
+    path = three_point_file(tmp_path)
+    result = subprocess.run(
+        [sys.executable, "-m", "bayeshield", "estimate", str(path), "--sigma", sigma],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == code
+    assert "RuntimeWarning" not in result.stderr
+    if code == 2:
+        assert result.stderr == (
+            "error: bandwidth 1e-300 is too small: its square is below the smallest "
+            "normal float64, so sigma must be at least about 1.49e-154\n"
+        )
+
+
 def test_estimate_single_class_prints_zero(tmp_path, capsys):
     path = tmp_path / "one.csv"
     write_dataset_csv(path, LabeledDataset([[0.0], [1.0], [2.0]], [0, 0, 0], 1))

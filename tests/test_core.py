@@ -68,6 +68,11 @@ def test_kernel_validation():
         SimilarityKernel(bandwidth=0.0)
     with pytest.raises(ValueError, match="bandwidth"):
         SimilarityKernel(bandwidth=-1.0)
+    # sigma^2 is subnormal at 1e-160 and zero at 1e-300
+    for tiny in (1e-160, 1e-300):
+        with pytest.raises(ValueError, match=rf"^bandwidth {tiny!r} is too small"):
+            SimilarityKernel(bandwidth=tiny)
+    assert SimilarityKernel(bandwidth=1e-150).bandwidth == 1e-150
 
 
 def test_constraint_validation():

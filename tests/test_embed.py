@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ def test_load_rejects_bad_layer(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="bias"):
         load_embedding(path)
+
+
+def test_load_rejects_integer_too_large_for_float64(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    huge = "1" + "0" * 400
+    path.write_text(
+        '{"version": 1, "layers": [{"weight": [[%s, 0.0], [0.0, 1.0]], '
+        '"bias": [0.0, 0.0], "activation": "identity"}]}' % huge
+    )
+    with pytest.raises(ValueError, match=rf"^embedding file {re.escape(str(path))}: layer 0: "):
+        load_embedding(path)
+    data_path = tmp_path / "data.csv"
+    write_dataset_csv(data_path, LabeledDataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], 2))
+    assert main(["estimate", str(data_path), "--embedding", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: embedding file {path}: layer 0: ")
 
 
 def _perturb_cli_exit(ds, m, tmp_path):
