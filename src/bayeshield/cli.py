@@ -223,13 +223,18 @@ def read_dataset_csv(path) -> LabeledDataset:
         raise CsvFormatError(f"{path}: {exc}") from exc
 
 
-def write_trace_csv(path, trace) -> None:
+def _write_series(path, header, values) -> None:
+    """A two-column table: each value's index, then the value."""
     _write_table(
         path,
         {"version": TABLE_FORMAT_VERSION},
-        ["iter", "bayes_error"],
-        ([str(i), repr(v)] for i, v in enumerate(np.asarray(trace, dtype=np.float64).tolist())),
+        header,
+        ([str(i), repr(v)] for i, v in enumerate(np.asarray(values, dtype=np.float64).tolist())),
     )
+
+
+def write_trace_csv(path, trace) -> None:
+    _write_series(path, ["iter", "bayes_error"], trace)
 
 
 def read_trace_csv(path) -> np.ndarray:
@@ -288,17 +293,12 @@ def write_report(path, report: dict) -> None:
         fh.write("\n")
 
 
-def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _run_report(args, source, results: dict, **resolved) -> None:
+def _run_report(args, fingerprint, results: dict, **resolved) -> None:
     """Write the ``--report`` JSON of a run, if one was asked for.
 
     The config echoes every flag, with the values the run resolved
     (bandwidth, step size, sizes) added or put in place of the flags'
-    defaults; ``source`` is the file the input fingerprint is taken of.
+    defaults; ``fingerprint`` is the input file's, from :func:`_fingerprint`.
     """
     if not args.report:
         return
@@ -309,7 +309,7 @@ def _run_report(args, source, results: dict, **resolved) -> None:
         {
             "version": REPORT_FORMAT_VERSION,
             "command": args.command,
-            "input_fingerprint": _fingerprint(source),
+            "input_fingerprint": fingerprint,
             "config": config,
             "results": results,
             "timing_seconds": time.perf_counter() - args.started,
@@ -325,53 +325,50 @@ def _derived_path(out, tag: str) -> Path:
 
 # ------------------------------------------------------------ subcommands
 
-def _resolve_bandwidth(args, data: LabeledDataset, embedding) -> tuple:
-    """Returns (sigma, source). The heuristic runs in the space where
-    similarity is evaluated, so an embedding is applied first."""
-    if args.sigma is not None:
-        if args.sigma <= 0:
-            raise ValueError(f"--sigma must be positive, got {args.sigma}")
-        return float(args.sigma), "flag"
-    target = data if embedding is None else embed_dataset(embedding, data)
-    return median_heuristic_bandwidth(target), "median-heuristic"
+def _read_inputs(args) -> tuple:
+    """Read the input of ``estimate``, ``perturb`` or ``gradcheck``.
 
-
-def _dataset_shape(data: LabeledDataset) -> dict:
-    return {"n": data.n, "d": data.d, "k": data.num_classes}
+    Returns ``(data, embedding, kernel, fingerprint, echo)``. The dataset's
+    fingerprint is taken before the command writes anything, so an output
+    that overwrites the input leaves it as it was; it is None without
+    ``--report``. Without ``--sigma`` the bandwidth is the median heuristic
+    in the space where similarity is evaluated, so an embedding is applied
+    first. ``echo`` holds the values every report adds to its config.
+    """
+    data = read_dataset_csv(args.dataset)
+    fingerprint = _fingerprint(args.dataset) if args.report else None
+    embedding = None if args.embedding is None else load_embedding(args.embedding)
+    if args.sigma is None:
+        target = data if embedding is None else embed_dataset(embedding, data)
+        sigma, sigma_source = median_heuristic_bandwidth(target), "median-heuristic"
+    elif args.sigma <= 0:
+        raise ValueError(f"--sigma must be positive, got {args.sigma}")
+    else:
+        sigma, sigma_source = float(args.sigma), "flag"
+    echo = dict(sigma=sigma, sigma_source=sigma_source, n=data.n, d=data.d, k=data.num_classes)
+    return data, embedding, SimilarityKernel(bandwidth=sigma), fingerprint, echo
 
 
 def cmd_estimate(args) -> int:
-    data = read_dataset_csv(args.dataset)
-    embedding = None if args.embedding is None else load_embedding(args.embedding)
+    data, embedding, kernel, fingerprint, echo = _read_inputs(args)
     target = data if embedding is None else embed_dataset(embedding, data)
-    sigma, sigma_source = _resolve_bandwidth(args, target, None)
-    estimate = estimate_bayes_error(target, SimilarityKernel(bandwidth=sigma))
-    print(f"bayes error: {estimate.value:.6f}")
+    estimate = estimate_bayes_error(target, kernel)
+    posteriors = estimate.per_sample_max_posterior
     if args.out:
-        _write_table(
-            args.out,
-            {"version": TABLE_FORMAT_VERSION},
-            ["index", "max_posterior"],
-            (
-                [str(i), repr(v)]
-                for i, v in enumerate(estimate.per_sample_max_posterior.tolist())
-            ),
-        )
-        print(f"per-sample max posteriors written to {args.out}")
-    else:
-        for value in estimate.per_sample_max_posterior:
-            print(f"{value:.6f}")
+        _write_series(args.out, ["index", "max_posterior"], posteriors)
+    # the report goes first: a listing of n lines may meet a closed stdout
     _run_report(
         args,
-        args.dataset,
-        {
-            "bayes_error": estimate.value,
-            "per_sample_max_posterior": estimate.per_sample_max_posterior.tolist(),
-        },
-        sigma=sigma,
-        sigma_source=sigma_source,
-        **_dataset_shape(data),
+        fingerprint,
+        {"bayes_error": estimate.value, "per_sample_max_posterior": posteriors.tolist()},
+        **echo,
     )
+    print(f"bayes error: {estimate.value:.6f}")
+    if args.out:
+        print(f"per-sample max posteriors written to {args.out}")
+    else:
+        for value in posteriors:
+            print(f"{value:.6f}")
     return EXIT_OK
 
 
@@ -395,11 +392,8 @@ def _write_pga_outputs(result, out, deltas_path, trace_path, note: str = "") -> 
 
 
 def cmd_perturb(args) -> int:
-    data = read_dataset_csv(args.dataset)
-    embedding = None if args.embedding is None else load_embedding(args.embedding)
+    data, embedding, kernel, fingerprint, echo = _read_inputs(args)
     frozen = read_frozen_file(args.frozen) if args.frozen else frozenset()
-    sigma, sigma_source = _resolve_bandwidth(args, data, embedding)
-    kernel = SimilarityKernel(bandwidth=sigma)
     constraint = PerturbationConstraint(
         norm_order=args.norm, radius=args.eps, frozen=frozen
     )
@@ -412,55 +406,50 @@ def cmd_perturb(args) -> int:
     print(f"perturbed dataset written to {args.out}")
     print(f"deltas written to {deltas_path}")
     print(f"trace written to {trace_path}")
+    # the step size is echoed between the bandwidth and the sizes
+    shape = {key: echo.pop(key) for key in ("n", "d", "k")}
     _run_report(
         args,
-        args.dataset,
+        fingerprint,
         results,
-        sigma=sigma,
-        sigma_source=sigma_source,
+        **echo,
         eta=float(eta),
         eta_source="flag" if args.eta is not None else "default",
         frozen_count=len(frozen),
-        **_dataset_shape(data),
+        **shape,
     )
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    data = read_dataset_csv(args.dataset)
-    embedding = None if args.embedding is None else load_embedding(args.embedding)
-    sigma, sigma_source = _resolve_bandwidth(args, data, embedding)
-    kernel = SimilarityKernel(bandwidth=sigma)
+    data, embedding, kernel, fingerprint, echo = _read_inputs(args)
     report = objective_and_gradient(data, kernel, embedding=embedding)
     fd = finite_difference_gradient(data, kernel, embedding=embedding, h=args.h)
     keep = np.ones(data.n, dtype=bool)
     for row in report.tied_rows:
         keep[row] = False
-    if report.tied_rows:
-        tied = ", ".join(str(r) for r in report.tied_rows)
-        print(f"argmax ties at rows: {tied} (excluded from the comparison)")
-    if keep.any():
-        rel = np.abs(report.gradients[keep] - fd[keep]) / (np.abs(fd[keep]) + 1e-8)
-        max_rel = float(rel.max())
-    else:
-        max_rel = 0.0
-        print("all rows tied; nothing to compare")
-    print(f"max relative error: {max_rel:.3e}")
+    rel = np.abs(report.gradients[keep] - fd[keep]) / (np.abs(fd[keep]) + 1e-8)
+    max_rel = float(rel.max()) if keep.any() else 0.0
     passed = max_rel <= GRADCHECK_THRESHOLD
-    print("gradient check passed" if passed else "gradient check FAILED")
+    # the report goes first: the tied rows' line grows with n
     _run_report(
         args,
-        args.dataset,
+        fingerprint,
         {
             "max_relative_error": max_rel,
             "threshold": GRADCHECK_THRESHOLD,
             "tied_rows": list(report.tied_rows),
             "passed": passed,
         },
-        sigma=sigma,
-        sigma_source=sigma_source,
-        **_dataset_shape(data),
+        **echo,
     )
+    if report.tied_rows:
+        tied = ", ".join(str(r) for r in report.tied_rows)
+        print(f"argmax ties at rows: {tied} (excluded from the comparison)")
+    if not keep.any():
+        print("all rows tied; nothing to compare")
+    print(f"max relative error: {max_rel:.3e}")
+    print("gradient check passed" if passed else "gradient check FAILED")
     return EXIT_OK if passed else EXIT_INTERNAL
 
 
@@ -474,7 +463,8 @@ def cmd_gen(args) -> int:
         del args.noise  # the truncated normals take no jitter; keep it out of the echo
     write_dataset_csv(args.out, data)
     print(f"{args.generator} dataset with n={data.n} written to {args.out}")
-    _run_report(args, args.out, _dataset_shape(data))
+    fingerprint = _fingerprint(args.out) if args.report else None
+    _run_report(args, fingerprint, {"n": data.n, "d": data.d, "k": data.num_classes})
     return EXIT_OK
 
 
@@ -503,7 +493,7 @@ def _demo_truncnorm(args, outdir: Path) -> int:
     print(f"sample written to {sample_path}")
     _run_report(
         args,
-        sample_path,
+        _fingerprint(sample_path),
         {
             "analytic_bayes_error": analytic,
             "sample_estimate": estimate.value,
@@ -534,7 +524,7 @@ def _demo_moons(args, outdir: Path) -> int:
         print(f"wrote {path}")
     _run_report(
         args,
-        paths[0],
+        _fingerprint(paths[0]),
         dict(results, lift=results["bayes_error_after"] / results["bayes_error_before"]),
         n=n,
         noise=noise,
@@ -559,10 +549,6 @@ def _add_kernel_flags(sub) -> None:
     )
 
 
-def _add_report_flag(sub) -> None:
-    sub.add_argument("--report", default=None, help="write a JSON run report here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayeshield",
@@ -578,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(est)
     est.add_argument("--embedding", default=None, help="embedding map JSON file")
     est.add_argument("--out", default=None, help="write per-sample max posteriors here")
-    _add_report_flag(est)
     est.set_defaults(handler=cmd_estimate)
 
     per = subs.add_parser("perturb", help="projected gradient ascent on the estimate")
@@ -594,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     per.add_argument("--embedding", default=None, help="embedding map JSON file")
     _add_kernel_flags(per)
     per.add_argument("--out", required=True, help="perturbed dataset CSV path")
-    _add_report_flag(per)
     per.set_defaults(handler=cmd_perturb)
 
     grad = subs.add_parser("gradcheck", help="analytic vs finite-difference gradient")
@@ -602,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--h", type=float, default=1e-5, help="central difference step")
     grad.add_argument("--embedding", default=None, help="embedding map JSON file")
     _add_kernel_flags(grad)
-    _add_report_flag(grad)
     grad.set_defaults(handler=cmd_gradcheck)
 
     gen = subs.add_parser("gen", help="generate a synthetic dataset")
@@ -611,16 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.1, help="moons jitter std")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="dataset CSV path")
-    _add_report_flag(gen)
     gen.set_defaults(handler=cmd_gen)
 
     demo = subs.add_parser("demo", help="run a canonical end-to-end example")
     demo.add_argument("name", choices=["truncnorm", "moons"])
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--out", default=".", help="output directory")
-    _add_report_flag(demo)
     demo.set_defaults(handler=cmd_demo)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--report", default=None, help="write a JSON run report here")
     return parser
 
 
@@ -634,6 +617,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USER
     except Exception:
         traceback.print_exc()

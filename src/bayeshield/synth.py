@@ -135,6 +135,12 @@ def analytic_bayes_error(
     return float(np.trapezoid(overlap, grid))
 
 
+def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sample_truncated_normal_pair(
     spec: TruncatedNormalPairSpec, n: int, seed: int
 ) -> LabeledDataset:
@@ -145,7 +151,7 @@ def sample_truncated_normal_pair(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     labels = (rng.random(n) < spec.prior1).astype(np.int64)
     u = rng.random(n)
     x = np.empty(n)
@@ -168,7 +174,7 @@ def generate_moons(n: int, noise: float, seed: int) -> LabeledDataset:
     noise = float(noise)
     if not np.isfinite(noise) or noise < 0:
         raise ValueError(f"noise must be a non-negative real, got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     half = n // 2
     angles = np.linspace(0.0, np.pi, half)
     upper = np.stack([np.cos(angles), np.sin(angles)], axis=1)

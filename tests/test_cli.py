@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import re
 import subprocess
@@ -7,19 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bayeshield import cli
 from bayeshield.cli import (
     CsvFormatError,
     main,
     read_dataset_csv,
     read_deltas_csv,
     read_frozen_file,
-    read_report,
     read_trace_csv,
     write_dataset_csv,
     write_deltas_csv,
     write_trace_csv,
 )
 from bayeshield.core import LabeledDataset
+from bayeshield.embed import EmbeddingLayer, EmbeddingMap, save_embedding
 
 
 def three_point_file(tmp_path, name="three.csv"):
@@ -277,7 +280,7 @@ def test_estimate_report_round_trip(tmp_path, capsys):
         ["estimate", str(path), "--sigma", "1.0", "--report", str(report_path)]
     )
     assert code == 0
-    report = read_report(report_path)
+    report = json.loads(report_path.read_text())
     assert report["version"] == 1
     assert report["command"] == "estimate"
     assert report["input_fingerprint"].startswith("sha256:")
@@ -312,7 +315,7 @@ def test_perturb_moons_defaults_lift(tmp_path, capsys):
          "--out", str(out), "--report", str(report_path)]
     )
     assert code == 0
-    report = read_report(report_path)
+    report = json.loads(report_path.read_text())
     before = report["results"]["bayes_error_before"]
     after = report["results"]["bayes_error_after"]
     assert after / before >= 1.20
@@ -345,7 +348,7 @@ def test_perturb_frozen_rows_kept(tmp_path, capsys):
          "--report", str(report_path)]
     )
     assert code == 0
-    report = read_report(report_path)
+    report = json.loads(report_path.read_text())
     assert report["config"]["frozen_count"] == 30
     assert report["results"]["bayes_error_after"] >= report["results"]["bayes_error_before"]
     original = read_dataset_csv(data_path)
@@ -501,7 +504,7 @@ def test_perturb_huge_eta_halves_steps_and_ascends(tmp_path):
     trace = read_trace_csv(tmp_path / "out.trace.csv")
     assert np.diff(trace).min() >= -1e-9
     assert trace[-1] >= trace[0]
-    halvings = read_report(report_path)["results"]["halvings"]
+    halvings = json.loads(report_path.read_text())["results"]["halvings"]
     assert len(halvings) == 5
     assert max(halvings) > 0
 
@@ -581,3 +584,130 @@ def test_first_bad_field_in_file_order_wins(tmp_path):
     path.write_text("f0,f1,label\n1e308,1e308,0\n-1e308,-1e308,1\n")
     points = read_dataset_csv(path).points
     np.testing.assert_array_equal(points, [[1e308, 1e308], [-1e308, -1e308]])
+
+
+def moons_file(tmp_path, n=40, name="moons.csv"):
+    path = tmp_path / name
+    assert main(["gen", "moons", "--n", str(n), "--seed", "2", "--out", str(path)]) == 0
+    return path
+
+
+def map_file(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "map.json"
+    save_embedding(
+        EmbeddingMap((
+            EmbeddingLayer(rng.normal(size=(4, 2)), rng.normal(size=4), "tanh"),
+            EmbeddingLayer(rng.normal(size=(2, 4)), np.zeros(2), "identity"),
+        )),
+        path,
+    )
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--sigma", "0.4"],
+    ["perturb", "--eps", "0.2", "--iters", "3", "--sigma", "0.4"],
+], ids=["estimate", "perturb"])
+def test_report_fingerprints_the_input_an_output_overwrites(tmp_path, capsys, command):
+    path = moons_file(tmp_path)
+    original = hashlib.sha256(path.read_bytes()).hexdigest()
+    report_path = tmp_path / "report.json"
+    name, *flags = command
+    argv = [name, str(path), *flags, "--out", str(path), "--report", str(report_path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != original
+    assert json.loads(report_path.read_text())["input_fingerprint"] == f"sha256:{original}"
+
+
+class ClosedAfterFirstLine(io.StringIO):
+    """A stdout whose reader goes away once it has read one line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command", ["estimate", "gradcheck"])
+def test_closed_stdout_keeps_the_report(tmp_path, capsys, monkeypatch, command):
+    # 13 far-apart copies of the tie case: the third row of each is tied
+    path = tmp_path / "ties.csv"
+    points = [[100.0 * t + x] for t in range(13) for x in (0.0, 0.0, 5.0)]
+    write_dataset_csv(path, LabeledDataset(points, [0, 1, 0] * 13, 2))
+    full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+    assert main([command, str(path), "--sigma", "1.0", "--report", str(full)]) in (0, 1)
+    monkeypatch.setattr(sys, "stdout", ClosedAfterFirstLine())
+    assert main([command, str(path), "--sigma", "1.0", "--report", str(cut)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    results = json.loads(cut.read_text())["results"]
+    assert results == json.loads(full.read_text())["results"]
+    if command == "estimate":
+        assert len(results["per_sample_max_posterior"]) == 39
+    else:
+        assert results["tied_rows"] == list(range(2, 39, 3))
+
+
+@pytest.mark.parametrize("message, expected", [
+    ("", "out of memory"),
+    ("Unable to allocate 7.45 GiB", "Unable to allocate 7.45 GiB"),
+], ids=["empty", "numpy"])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, message, expected):
+    def generate_moons(n, noise, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_moons", generate_moons)
+    code = main(["gen", "moons", "--n", "1000000000", "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "moons"], ["gen", "truncnorm"], ["demo", "moons"], ["demo", "truncnorm"],
+], ids="-".join)
+def test_negative_seed_names_the_seed(tmp_path, capsys, command):
+    code = main([*command, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+# keys a report adds to the echoed flags: they describe the run, not a flag
+RESOLVED_ONLY = ("sigma_source", "eta_source", "frozen_count", "n", "d", "k")
+
+
+def replay(report: dict, report_path) -> dict:
+    """Run a report's command again from its echoed config alone."""
+    config = dict(report["config"])
+    argv = [report["command"], config.pop("dataset")]
+    for key, value in config.items():
+        if key not in RESOLVED_ONLY and value is not None:
+            argv += [f"--{key}", str(value)]
+    assert main([*argv, "--report", str(report_path)]) == 0
+    return json.loads(report_path.read_text())
+
+
+@pytest.mark.parametrize("case", [
+    "estimate", "estimate-embedding", "perturb-linf-frozen", "perturb-embedding", "gradcheck",
+])
+def test_echoed_config_replays_the_results(tmp_path, capsys, case):
+    path = moons_file(tmp_path)
+    frozen = tmp_path / "frozen.txt"
+    frozen.write_text("0\n5\n9\n")
+    out = tmp_path / "out.csv"
+    argv = {
+        "estimate": ["estimate", "--out", str(out)],
+        "estimate-embedding": ["estimate", "--embedding", str(map_file(tmp_path))],
+        "perturb-linf-frozen": ["perturb", "--eps", "0.2", "--iters", "4", "--norm", "linf",
+                                "--frozen", str(frozen), "--out", str(out)],
+        "perturb-embedding": ["perturb", "--eps", "0.2", "--iters", "4",
+                              "--embedding", str(map_file(tmp_path)), "--out", str(out)],
+        "gradcheck": ["gradcheck"],
+    }[case]
+    first_path = tmp_path / "first.json"
+    assert main([argv[0], str(path), *argv[1:], "--report", str(first_path)]) == 0
+    first = json.loads(first_path.read_text())
+    outputs = {p: p.read_bytes() for p in tmp_path.glob("out*.csv")}
+    again = replay(first, tmp_path / "again.json")
+    assert again["results"] == first["results"]
+    assert again["input_fingerprint"] == first["input_fingerprint"]
+    assert {p: p.read_bytes() for p in tmp_path.glob("out*.csv")} == outputs
