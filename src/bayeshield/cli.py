@@ -470,7 +470,6 @@ def cmd_gen(args) -> int:
 
 def cmd_demo(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     args.report = Path(args.report or outdir / f"{args.name}_report.json")
     if args.name == "truncnorm":
         return _demo_truncnorm(args, outdir)
@@ -482,6 +481,7 @@ def _demo_truncnorm(args, outdir: Path) -> int:
     analytic = analytic_bayes_error(spec)
     n = 2000
     data = sample_truncated_normal_pair(spec, n, args.seed)
+    outdir.mkdir(parents=True, exist_ok=True)
     sigma = median_heuristic_bandwidth(data)
     estimate = estimate_bayes_error(data, SimilarityKernel(bandwidth=sigma))
     diff = abs(estimate.value - analytic)
@@ -511,6 +511,7 @@ def _demo_truncnorm(args, outdir: Path) -> int:
 def _demo_moons(args, outdir: Path) -> int:
     n, noise, eps, iters = 200, 0.1, 0.25, DEFAULT_ITERATIONS
     data = generate_moons(n, noise, args.seed)
+    outdir.mkdir(parents=True, exist_ok=True)
     sigma = MOONS_BANDWIDTH
     kernel = SimilarityKernel(bandwidth=sigma)
     eta = default_step_size(n, eps)

@@ -158,8 +158,8 @@ def save_embedding(mapping: EmbeddingMap, path) -> None:
         "version": EMBEDDING_FORMAT_VERSION,
         "layers": [
             {
-                "weight": [[float(v) for v in row] for row in layer.weight],
-                "bias": [float(v) for v in layer.bias],
+                "weight": layer.weight.tolist(),
+                "bias": layer.bias.tolist(),
                 "activation": layer.activation,
             }
             for layer in mapping.layers

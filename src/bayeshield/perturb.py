@@ -15,7 +15,6 @@ ascent.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,16 +183,6 @@ def project(delta, constraint: PerturbationConstraint) -> np.ndarray:
     return _project_rows(dv, constraint, np.empty_like(dv))[0]
 
 
-@contextmanager
-def _naming_step(t: int, step: float, radius: float):
-    """Prefix a ValueError raised on ascent step ``t`` with its step size
-    and the budget's radius."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"ascent step {t} at step size {step!r}, radius {radius!r}: {exc}") from exc
-
-
 def pga_maximize(
     data: LabeledDataset,
     kernel: SimilarityKernel,
@@ -212,14 +201,15 @@ def pga_maximize(
     gradient; one still rejected after MAX_HALVINGS halvings keeps the
     deltas and ends the ascent. Labels never change.
 
-    A candidate is scored by one posterior pass, so a rejected candidate
-    costs that pass alone; only a kept step that another step follows
-    pays the gradient's second pass and the pullback. Candidates are
-    scored where similarity is taken: through ``objective_and_gradient``
-    with the acceptance bound as its ``floor``, and at the last step
-    through ``estimate_bayes_error``. Besides that scored sample, the
-    loop holds four (n, d) arrays, the deltas, the candidate, the
-    perturbed points and the gradient, and overwrites them in place.
+    Each candidate, the start included, is scored by one call where
+    similarity is taken: ``objective_and_gradient`` with the acceptance
+    bound as its ``floor``, or ``estimate_bayes_error`` at the last step.
+    A rejected candidate costs its posterior pass alone; a kept one that
+    another step follows also pays the gradient's second pass and the
+    pullback, and the spent gradient is released between the two.
+    Besides that scored sample, the loop holds four (n, d) arrays, the
+    deltas, the candidate, the perturbed points and the gradient, and
+    overwrites them in place.
 
     The trace has ``max_iterations + 1`` entries: entry t is the estimate
     before step t and the last is the estimate of the returned dataset,
@@ -231,37 +221,39 @@ def pga_maximize(
     if len(constraint.frozen) >= n:
         raise ValueError(f"all {n} samples are frozen; nothing to perturb")
 
-    frozen_rows = np.fromiter(sorted(constraint.frozen), dtype=np.int64, count=len(constraint.frozen))
+    frozen_rows = np.array(sorted(constraint.frozen), dtype=np.int64)
     iterations = config.max_iterations
 
-    def score(points: np.ndarray, floor: float, last: bool) -> tuple:
-        """``(value, report)`` of a candidate: its estimate where similarity
-        is taken, None below ``floor``, and the gradient report there when
-        another step follows."""
+    def score(points: np.ndarray, floor: float, last: bool) -> float | None:
+        """A candidate's estimate where similarity is taken, or None below
+        ``floor``. A kept candidate that another step follows releases the
+        spent gradient and installs its own, in the input space."""
+        nonlocal gradients
         if not np.all(np.isfinite(points)):
             raise ValueError("points contain non-finite values")
-        coords = points if embedding is None else embed_points(embedding, points)
-        sample = data.with_points(coords)
+        sample = data.with_points(points if embedding is None else embed_points(embedding, points))
         if last:
             value = estimate_bayes_error(sample, kernel).value
-            return (value if value >= floor else None), None
+            return value if value >= floor else None
         report = objective_and_gradient(sample, kernel, floor=floor)
-        return (None, None) if report is None else (report.objective, report)
-
-    def gradient(report: GradientReport, points: np.ndarray) -> np.ndarray:
+        if report is None:
+            return None
+        # the spent gradient and the scored sample go before the pullback
+        # makes the new gradient
+        gradients = sample = None
         if embedding is None:
-            return report.gradients
-        grads = pullback_gradients(embedding, points, report.gradients)
-        if not np.all(np.isfinite(grads)):
-            raise ValueError("gradients contain non-finite values")
-        return grads
+            gradients = report.gradients
+        else:
+            gradients = pullback_gradients(embedding, points, report.gradients)
+            if not np.all(np.isfinite(gradients)):
+                raise ValueError("gradients contain non-finite values")
+        return report.objective
 
     deltas = np.zeros_like(data.points)
     candidate = np.empty_like(deltas)
-    points = data.points + deltas
-    value, report = score(points, -np.inf, iterations == 0)
-    gradients = gradient(report, points) if iterations else None
-    trace, halvings = [value], []
+    points = data.points.copy()
+    gradients = None
+    trace, halvings = [score(points, -np.inf, iterations == 0)], []
 
     for t in range(iterations):
         step = config.step_size
@@ -273,8 +265,12 @@ def pga_maximize(
             _project_rows(candidate, constraint, points)
             candidate[frozen_rows] = 0.0
             np.add(data.points, candidate, out=points)
-            with _naming_step(t, step, constraint.radius):
-                value, report = score(points, floor, t == iterations - 1)
+            try:
+                value = score(points, floor, t == iterations - 1)
+            except ValueError as exc:
+                raise ValueError(
+                    f"ascent step {t} at step size {step!r}, radius {constraint.radius!r}: {exc}"
+                ) from exc
             if value is not None:
                 break
             step /= 2
@@ -286,16 +282,11 @@ def pga_maximize(
         deltas, candidate = candidate, deltas
         trace.append(value)
         halvings.append(halved)
-        if report is not None:
-            # the spent gradient is released before the next one is made
-            gradients = None
-            with _naming_step(t, step, constraint.radius):
-                gradients = gradient(report, points)
 
     # a stalled step left its last candidate in the points
     np.add(data.points, deltas, out=points)
     # the result copies two arrays, so the loop's other buffers go first
-    candidate = gradients = report = None
+    candidate = gradients = None
     return PgaResult(
         perturbed=data.with_points(points),
         deltas=deltas,

@@ -669,6 +669,7 @@ def test_negative_seed_names_the_seed(tmp_path, capsys, command):
     code = main([*command, "--seed", "-1", "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 # keys a report adds to the echoed flags: they describe the run, not a flag

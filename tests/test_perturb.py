@@ -604,8 +604,16 @@ def test_pga_scores_through_the_public_passes(monkeypatch, embedded):
     assert calls == {"objective_and_gradient": 15, "estimate_posteriors": 1}
 
 
-@pytest.mark.parametrize("source", ["_objective_and_gradient", "pullback_gradients"])
-def test_pga_non_finite_kept_gradient_names_the_step(monkeypatch, source):
+STEP_0 = r"ascent step 0 at step size 0\.005, radius 0\.3: "
+
+
+# the start's gradient is taken before any step, so its error names none
+@pytest.mark.parametrize("source, poisoned_call, prefix", [
+    pytest.param(source, call, prefix, id=f"{tag}{source}")
+    for call, prefix, tag in ((1, "", "start-"), (2, STEP_0, ""))
+    for source in ("_objective_and_gradient", "pullback_gradients")
+])
+def test_pga_non_finite_kept_gradient_names_the_step(monkeypatch, source, poisoned_call, prefix):
     ds = random_dataset(2, n=12, d=2)
     embedding = tanh_embedding(2) if source == "pullback_gradients" else None
     original = getattr(perturb, source)
@@ -617,7 +625,7 @@ def test_pga_non_finite_kept_gradient_names_the_step(monkeypatch, source):
         if gradient_pass and out[1] is None:
             return out
         calls.append(None)
-        if len(calls) < 2:
+        if len(calls) != poisoned_call:
             return out
         if gradient_pass:
             return out[0], (out[1][0], np.full_like(out[1][1], np.inf))
@@ -625,9 +633,7 @@ def test_pga_non_finite_kept_gradient_names_the_step(monkeypatch, source):
 
     monkeypatch.setattr(perturb, source, poisoned)
     c = PerturbationConstraint(norm_order="l2", radius=0.3)
-    # the start's gradient is finite, the first kept step's is not
-    with pytest.raises(ValueError, match=r"^ascent step 0 at step size 0\.005, radius 0\.3: "
-                       r"gradients contain non-finite values$"):
+    with pytest.raises(ValueError, match=f"^{prefix}gradients contain non-finite values$"):
         pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=3), embedding=embedding)
 
 
@@ -642,20 +648,27 @@ def test_pga_deterministic_rerun():
 
 
 def test_pga_threads_bitwise_identical(monkeypatch):
+    l2 = PerturbationConstraint(norm_order="l2", radius=0.3)
+    linf = PerturbationConstraint(norm_order="linf", radius=0.3, frozen=tuple(range(0, 80, 4)))
+    small, large = (PgaConfig(step_size=eta, max_iterations=3) for eta in (0.05, 100.0))
+    # at the large step most free rows end on the budget's boundary, and
+    # the embedded run halves its last step twice
     cases = [
-        (random_dataset(10, n=80, d=2), PgaConfig(step_size=0.05, max_iterations=3)),
-        (far_row_dataset(10, n=80), PgaConfig(step_size=0.05, max_iterations=3)),
+        (random_dataset(10, n=80, d=2), l2, small, None),
+        (far_row_dataset(10, n=80), l2, small, None),
+        (random_dataset(11, n=80, d=2), linf, large, None),
+        (random_dataset(12, n=80, d=2), l2, large, tanh_embedding(2)),
     ]
-    c = PerturbationConstraint(norm_order="l2", radius=0.3)
-    references = [pga_maximize(ds, K1, c, config) for ds, config in cases]
+    references = [pga_maximize(ds, K1, c, config, embedding=e) for ds, c, config, e in cases]
+    assert references[3].halvings == (0, 0, 2)
     for chunk in row_splits(80):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
         assert len(estimator._row_spans(80)) >= 2
         # three workers get groups of uneven length
         for workers in (1, 2, 3):
             monkeypatch.setattr(estimator, "_WORKERS", workers)
-            for (ds, config), reference in zip(cases, references):
-                got = pga_maximize(ds, K1, c, config)
+            for (ds, c, config, e), reference in zip(cases, references):
+                got = pga_maximize(ds, K1, c, config, embedding=e)
                 np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
                 np.testing.assert_array_equal(got.deltas, reference.deltas)
                 np.testing.assert_array_equal(got.trace, reference.trace)
