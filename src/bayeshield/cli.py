@@ -325,7 +325,7 @@ def _derived_path(out, tag: str) -> Path:
 
 # ------------------------------------------------------------ subcommands
 
-def _read_inputs(args) -> tuple:
+def _read_inputs(args, embed: bool = False) -> tuple:
     """Read the input of ``estimate``, ``perturb`` or ``gradcheck``.
 
     Returns ``(data, embedding, kernel, fingerprint, echo)``. The dataset's
@@ -333,25 +333,29 @@ def _read_inputs(args) -> tuple:
     that overwrites the input leaves it as it was; it is None without
     ``--report``. Without ``--sigma`` the bandwidth is the median heuristic
     in the space where similarity is evaluated, so an embedding is applied
-    first. ``echo`` holds the values every report adds to its config.
+    first. With ``embed``, ``data`` is the sample in that space, from the
+    same one embedding pass. ``echo`` holds the values every report adds
+    to its config.
     """
     data = read_dataset_csv(args.dataset)
     fingerprint = _fingerprint(args.dataset) if args.report else None
     embedding = None if args.embedding is None else load_embedding(args.embedding)
-    if args.sigma is None:
-        target = data if embedding is None else embed_dataset(embedding, data)
-        sigma, sigma_source = median_heuristic_bandwidth(target), "median-heuristic"
-    elif args.sigma <= 0:
+    if args.sigma is not None and args.sigma <= 0:
         raise ValueError(f"--sigma must be positive, got {args.sigma}")
+    target = data
+    if embedding is not None and (embed or args.sigma is None):
+        target = embed_dataset(embedding, data)
+    if args.sigma is None:
+        sigma, sigma_source = median_heuristic_bandwidth(target), "median-heuristic"
     else:
         sigma, sigma_source = float(args.sigma), "flag"
     echo = dict(sigma=sigma, sigma_source=sigma_source, n=data.n, d=data.d, k=data.num_classes)
-    return data, embedding, SimilarityKernel(bandwidth=sigma), fingerprint, echo
+    kernel = SimilarityKernel(bandwidth=sigma)
+    return target if embed else data, embedding, kernel, fingerprint, echo
 
 
 def cmd_estimate(args) -> int:
-    data, embedding, kernel, fingerprint, echo = _read_inputs(args)
-    target = data if embedding is None else embed_dataset(embedding, data)
+    target, _, kernel, fingerprint, echo = _read_inputs(args, embed=True)
     estimate = estimate_bayes_error(target, kernel)
     posteriors = estimate.per_sample_max_posterior
     if args.out:

@@ -8,6 +8,7 @@ and marked read-only, so instances are safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +189,9 @@ class PgaConfig:
         iters = int(self.max_iterations)
         if iters < 0:
             raise ValueError(f"max_iterations must be >= 0, got {iters}")
+        # a stalled ascent pads its trace to this length, which must fit an index
+        if iters >= sys.maxsize:
+            raise ValueError(f"max_iterations must be below {sys.maxsize}, got {iters}")
         object.__setattr__(self, "step_size", step)
         object.__setattr__(self, "max_iterations", iters)
 

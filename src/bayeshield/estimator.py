@@ -6,13 +6,13 @@ itself never votes). The Bayes error estimate is one minus the mean of
 the per-sample maximum posterior.
 
 This module owns the streamed O(n^2) pairwise pass: the row-span
-runner, the kernel rows, the recomputation of rows whose similarity
-mass underflows, and both passes built on them. Pass A,
-``_posterior_pass``, gives the posteriors. ``_objective_and_gradient``
-takes the estimate from it and, unless that falls below a floor, runs
-pass B for the gradient that ``perturb.objective_and_gradient`` pulls
-back. Scoring a sample costs pass A alone, so the ascent runs pass B
-only for a step it keeps.
+runner, ``_similarity_rows``, the one function that gives kernel rows,
+shifted ones for rows whose similarity mass underflows included, and
+both passes built on them. Pass A, ``_posterior_pass``, gives the
+posteriors. ``_objective_and_gradient`` takes the estimate from it and,
+unless that falls below a floor, runs pass B for the gradient that
+``perturb.objective_and_gradient`` pulls back. Scoring a sample costs
+pass A alone, so the ascent runs pass B only for a step it keeps.
 
 Each pass runs in class order: a stable sort of the labels permutes the
 coordinates and labels once on the way in, so every class owns one
@@ -118,7 +118,7 @@ def _input_order(order: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _similarity_rows(
-    points: np.ndarray, lo: int, hi: int, bandwidth: float, out: np.ndarray
+    points: np.ndarray, lo: int, hi: int, bandwidth: float, out: np.ndarray, shifted: bool = False
 ) -> np.ndarray:
     """Rows lo:hi of the Gaussian similarity matrix of ``points``, with
     each row's own column zero, written into ``out``, a C-contiguous
@@ -126,38 +126,25 @@ def _similarity_rows(
 
     ``cdist`` sums each squared distance over the coordinates in a fixed
     order, so a row's values do not depend on the span it is computed in
-    or on the array it is written to.
+    or on the array it is written to. With ``shifted``, row u is divided
+    by its nearest neighbour's similarity: exp(-(||x_u - x_j||^2 -
+    min_{k != u} ||x_u - x_k||^2) / (2 sigma^2)). Posteriors and gradient
+    terms are ratios to a row's mass, so they keep their value, also
+    where the plain mass underflows float64.
     """
     from scipy.spatial.distance import cdist
 
     block = cdist(points[lo:hi], points, "sqeuclidean", out=out)
+    if shifted:
+        np.fill_diagonal(block[:, lo:hi], np.inf)
+        nearest = block.min(axis=1, keepdims=True)
+        if not np.isfinite(nearest).all():
+            raise ValueError("squared distance to its nearest neighbour overflows")
+        block -= nearest
     block /= -2.0 * bandwidth * bandwidth
     np.exp(block, out=block)
     np.fill_diagonal(block[:, lo:hi], 0.0)
     return block
-
-
-def _shifted_similarity_rows(
-    points: np.ndarray, order: np.ndarray, rows: np.ndarray, bandwidth: float
-):
-    """Yield ``(u, row)`` for each u in ``rows``: x_u's similarities divided
-    by its nearest neighbour's, exp(-(||x_u - x_j||^2 - min_{k != u}
-    ||x_u - x_k||^2) / (2 sigma^2)), zero in u's own column. Posteriors
-    and gradient terms are ratios to a row's mass, so they keep their
-    value, also where the plain mass underflows float64. An error names
-    u's input row."""
-    from scipy.spatial.distance import cdist
-
-    for u in rows:
-        row = cdist(points[u : u + 1], points, "sqeuclidean")[0]
-        row[u] = np.inf
-        nearest = row.min()
-        if not np.isfinite(nearest):
-            raise ValueError(f"row {order[u]}: squared distance to its nearest neighbour overflows")
-        row -= nearest
-        row /= -2.0 * bandwidth * bandwidth
-        np.exp(row, out=row)
-        yield u, row
 
 
 def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
@@ -168,8 +155,9 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     argsort of the labels, the coordinates in that order, each row's
     similarity mass, the rows whose mass is zero or subnormal, listed in
     input order, and the (n, k) posteriors; ``den`` and ``posteriors``
-    are in class order. The rows in ``underflow`` are recomputed by
-    ``_shifted_similarity_rows``, so their ``den`` is the shifted mass.
+    are in class order. Each row in ``underflow`` is summed again by the
+    same span fill, on its own one-row span with shifted similarities, so
+    its ``den`` is the shifted mass.
     The estimator and the gradient both read this one streamed pass, so
     the objective of the gradient is bit-equal to the estimate.
     """
@@ -184,9 +172,9 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     n = points.shape[0]
     num = np.empty((n, k))
 
-    def fill(span, scratch) -> None:
+    def fill(span, scratch, shifted=False) -> None:
         lo, hi = span
-        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0])
+        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0], shifted=shifted)
         for c, columns in enumerate(classes):
             sims[:, columns].sum(axis=1, out=num[lo:hi, c])
 
@@ -194,8 +182,12 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     den = num.sum(axis=1)
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
     underflow = underflow[np.argsort(order[underflow])]
-    for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
-        num[u] = [row[columns].sum() for columns in classes]
+    scratch = np.empty((1, 1, n))
+    for u in underflow:
+        try:
+            fill((u, u + 1), scratch, shifted=True)
+        except ValueError as exc:
+            raise ValueError(f"row {order[u]}: {exc}") from None
         den[u] = num[u].sum()
     return order, points, den, underflow, num / den[:, None]
 
@@ -248,8 +240,10 @@ def _objective_and_gradient(
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
     # and W[m, u] from its shifted similarities
-    for u, row in _shifted_similarity_rows(points, order, underflow, bandwidth):
-        weights = table[u].take(labels) * row / (bandwidth * bandwidth)
+    row = np.empty((1, n))
+    for u in underflow:
+        _similarity_rows(points, u, u + 1, bandwidth, out=row, shifted=True)
+        weights = table[u].take(labels) * row[0] / (bandwidth * bandwidth)
         wsum[u] += weights.sum()
         mixed[u] += np.einsum("j,kj->k", weights, points_t)
         wsum += weights
@@ -288,9 +282,10 @@ def median_heuristic_bandwidth(data: LabeledDataset) -> float:
     """Median of all pairwise Euclidean distances, the default bandwidth.
 
     Scale-adaptive and deterministic. Requires at least one distinct
-    pair; a zero median would not be a valid bandwidth. Unlike the
-    streamed pairwise pass, this holds all n(n-1)/2 distances at once
-    (1.6 GB of doubles at n=20000); np.median partitions them in place.
+    pair; a zero or overflowing median would not be a valid bandwidth.
+    Unlike the streamed pairwise pass, this holds all n(n-1)/2 distances
+    at once (1.6 GB of doubles at n=20000); np.median partitions them in
+    place.
     """
     from scipy.spatial.distance import pdist
 
@@ -301,4 +296,6 @@ def median_heuristic_bandwidth(data: LabeledDataset) -> float:
             "median pairwise distance is zero; bandwidth must be chosen "
             "explicitly for data with many coincident points"
         )
+    if med == np.inf:
+        raise ValueError("median pairwise distance overflows; bandwidth must be chosen explicitly")
     return med

@@ -672,6 +672,55 @@ def test_negative_seed_names_the_seed(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_stalled_ascent_with_huge_iters_exits_2(tmp_path):
+    # at --eta 1e300 every candidate of the first step is rejected, so the run
+    # stalls and would pad its trace to --iters + 1 entries
+    rng = np.random.default_rng(1)
+    path = tmp_path / "s12.csv"
+    write_dataset_csv(path, LabeledDataset(rng.normal(size=(12, 2)), rng.integers(0, 2, 12), 2))
+    result = subprocess.run(
+        [sys.executable, "-m", "bayeshield", "perturb", str(path), "--sigma", "1",
+         "--eps", "0.5", "--eta", "1e300", "--iters", str(10**20),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: max_iterations must be below ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_estimate_embeds_its_sample_once(tmp_path, capsys, monkeypatch):
+    path = moons_file(tmp_path)
+    embedding = str(map_file(tmp_path))
+    calls = []
+
+    def embed_dataset(mapping, data):
+        calls.append(data.n)
+        return original(mapping, data)
+
+    original = cli.embed_dataset
+    monkeypatch.setattr(cli, "embed_dataset", embed_dataset)
+    median, explicit = tmp_path / "median.csv", tmp_path / "explicit.csv"
+    report = tmp_path / "report.json"
+    argv = ["estimate", str(path), "--embedding", embedding, "--report", str(report)]
+    assert main([*argv, "--out", str(median)]) == 0
+    assert calls == [40]
+    sigma = json.loads(report.read_text())["config"]["sigma"]
+    assert main([*argv, "--sigma", repr(sigma), "--out", str(explicit)]) == 0
+    assert median.read_bytes() == explicit.read_bytes()
+
+
+def test_estimate_overflowing_median_names_the_median(tmp_path, capsys):
+    path = tmp_path / "far.csv"
+    write_dataset_csv(path, LabeledDataset([[1e308], [-1e308], [0.0]], [0, 1, 0], 2))
+    assert main(["estimate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: median pairwise distance overflows; bandwidth must be chosen explicitly\n"
+    )
+
+
 # keys a report adds to the echoed flags: they describe the run, not a flag
 RESOLVED_ONLY = ("sigma_source", "eta_source", "frozen_count", "n", "d", "k")
 

@@ -104,6 +104,13 @@ def test_pga_config_validation():
         PgaConfig(step_size=0.1, max_iterations=-1)
 
 
+def test_pga_config_rejects_iterations_that_do_not_fit_an_index():
+    # a stalled ascent pads its trace to max_iterations + 1 entries
+    PgaConfig(step_size=0.1, max_iterations=sys.maxsize - 1)
+    with pytest.raises(ValueError, match=rf"^max_iterations must be below {sys.maxsize}, got"):
+        PgaConfig(step_size=0.1, max_iterations=sys.maxsize)
+
+
 def test_pga_result_validation():
     ds = LabeledDataset([[0.0], [1.0]], [0, 1], 2)
     res = PgaResult(perturbed=ds, deltas=[[0.0], [0.0]], trace=[0.1, 0.2])

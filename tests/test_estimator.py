@@ -372,3 +372,10 @@ def test_median_bandwidth_rejects_identical_points():
     ds = LabeledDataset([[1.0], [1.0], [1.0]], [0, 0, 1], 2)
     with pytest.raises(ValueError, match="zero"):
         median_heuristic_bandwidth(ds)
+
+
+def test_median_bandwidth_rejects_an_overflowing_median():
+    # pdist squares each difference, so all three distances overflow to inf
+    ds = LabeledDataset([[1e308], [-1e308], [0.0]], [0, 1, 0], 2)
+    with pytest.raises(ValueError, match="^median pairwise distance overflows"):
+        median_heuristic_bandwidth(ds)
