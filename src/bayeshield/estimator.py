@@ -5,10 +5,10 @@ all other samples (a Nadaraya-Watson style local average; the sample
 itself never votes). The Bayes error estimate is one minus the mean of
 the per-sample maximum posterior.
 
-This module owns the streamed O(n^2) pairwise pass: the row-span
-runner, ``_similarity_rows``, the one function that gives kernel rows,
-shifted ones for rows whose similarity mass underflows included, and
-both passes built on them. Pass A, ``_posterior_pass``, gives the
+This module owns the streamed O(n^2) pairwise pass: the banded runner,
+``_similarity_rows``, the one function that gives kernel rows, shifted
+ones for rows whose similarity mass underflows included, and both
+passes built on them. Pass A, ``_posterior_pass``, gives the
 posteriors. ``_objective_and_gradient`` takes the estimate from it and,
 unless that falls below a floor, runs pass B for the gradient that
 ``perturb.objective_and_gradient`` pulls back. Scoring a sample costs
@@ -19,14 +19,25 @@ coordinates and labels once on the way in, so every class owns one
 contiguous slice of rows and of columns, empty for an unused class, and
 row i's own column is column i. A row's class mass is then one sum over
 its slice, and the gradient's sum_j W[i, j] x_j is one contiguous dot
-per coordinate against the (d, n) transpose of the sorted coordinates.
+per coordinate against a (d + 1, n) transpose of the sorted
+coordinates under a row of ones, whose dot gives sum_j W[i, j].
 Per-row results go back to input order once on the way out, before the
 mean and the tie scan, which depend on the order of the rows.
+
+The similarities S and the gradient's weights W are symmetric, so each
+pass computes every pair once. It runs over bands of ``_TILE`` rows:
+band [lo, hi) computes its strip, its rows against columns lo:n, and
+the strip's row sums go to rows lo:hi and its column sums over the
+band's rows to rows hi:n. The runner adds the bands' sums in band
+order, so the bits follow the band and piece widths alone, not the
+span size or the worker count.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,16 +45,25 @@ import numpy as np
 
 from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_array
 
-# Target element count per row span of the streamed n x n pairwise pass,
-# which holds O(n * span) memory. Span boundaries never change the per-row
-# arithmetic, so results are identical for any span or worker count; the
-# one exception is the gradient at d=1 with n above 8192, where einsum
-# sums a multi-row span in buffer-sized pieces, so only the span size,
-# which depends on n alone, changes its last bits.
+# Rows per band of the pairwise pass; the band bounds fix the order of
+# every sum, and so the results' bits.
+_TILE = 64
+
+# Scratch columns per band: each worker computes a band's strip a piece at
+# a time in _TILE * _PIECE float64s (512 kB), as one (_TILE, _PIECE) array
+# in pass A and as two (_TILE, _PIECE // 2) arrays in pass B, which needs
+# two. A row adds its pieces' sums in column order, so the piece widths
+# are part of the results' bits too.
+_PIECE = 1024
+
+# Target element count per row span: spans of _CHUNK_ELEMENTS // n rows,
+# rounded down to whole bands and at least one, are dealt to the workers.
+# The band order alone fixes the sums, so no bit depends on the span size
+# or the worker count.
 _CHUNK_ELEMENTS = 65_536
 
 # Workers for the row spans: the CPUs this process may run on, so that
-# `taskset` restricts a run. The NumPy and SciPy calls inside a span
+# `taskset` restricts a run. The NumPy and SciPy calls inside a band
 # release the interpreter lock, so threads overlap their work.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -76,31 +96,84 @@ class BayesErrorEstimate:
 
 
 def _row_spans(n: int) -> list:
-    chunk = max(1, _CHUNK_ELEMENTS // n)
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    rows = max(1, _CHUNK_ELEMENTS // n // _TILE) * _TILE
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
-def _run_row_spans(fill, n: int) -> None:
-    """Call ``fill((lo, hi), scratch)`` on every row span of an n-row
-    pairwise pass, split over ``min(_WORKERS, spans)`` workers.
+def _run_row_spans(fill, sums: np.ndarray, arrays: int) -> None:
+    """Add every band's sums of a symmetric pairwise pass into ``sums``, a
+    zeroed (width, n) float64 array whose column i belongs to row i.
 
-    Worker w takes the interleaved group ``spans[w::workers]`` and
-    allocates two (span rows, n) float64 arrays once; ``scratch`` holds
-    their first hi - lo rows, so a fill writes its span temporaries into
-    memory that stays mapped for the whole pass, and the pass holds
-    O(workers * n * span rows) scratch. The calling thread is worker 0
-    and a per-pass pool runs the others, so a single-span pass starts no
-    thread. Every worker has finished before this returns, or raises the
+    For each band [lo, hi) of ``_TILE`` rows and each piece [start, stop)
+    of at most ``_PIECE // arrays`` columns of lo:n, in order, the runner
+    calls ``fill((lo, hi), (start, stop), scratch, rows, partial)``.
+    ``scratch`` holds ``arrays`` (hi - lo, stop - start) arrays, which
+    share ``_TILE * _PIECE`` doubles whatever ``arrays`` is. The fill
+    writes the piece's row sums to ``rows``, a (width, hi - lo) array,
+    and its column sums over the band's rows to the columns from hi on of
+    ``partial``, a (width, n) array that is zero there when the band
+    starts. The runner adds up the pieces' row sums in column order, and
+    once every earlier band is in ``sums`` it adds the band's row sums to
+    ``sums[:, lo:hi]`` and its column sums to ``sums[:, hi:]``. So each
+    column of ``sums`` adds the earlier bands' column sums in band order,
+    then its own band's row sums, whichever worker computed them. The
+    arrays handed to a fill are C-contiguous, and the runner adds one
+    contiguous row at a time, as numpy buffers an addition over strided
+    2-d views in up to 192 kB per call.
+
+    Spans of whole bands are dealt to ``min(_WORKERS, spans)`` workers:
+    worker w takes the interleaved group ``spans[w::workers]`` and
+    allocates its scratch, its row sums and its ``partial`` once, so the
+    pass holds O(workers * (_TILE * _PIECE + n * width)) scratch and no
+    band allocates. The calling thread is worker 0 and a per-pass pool
+    runs the others, so a single-span pass starts no thread. A worker
+    whose fill fails stops, and the others run their remaining bands
+    without adding them, so no worker waits on a band that is never
+    added. Every worker has finished before this returns, or raises the
     error of the lowest-numbered worker that failed.
     """
+    width, n = sums.shape
+    piece = _PIECE // arrays
     spans = _row_spans(n)
-    rows = spans[0][1] - spans[0][0]
     workers = min(_WORKERS, len(spans))
+    turn = threading.Condition()
+    added = 0  # sums holds every band that ends at or before this row
+    failed = False
 
     def run(group) -> None:
-        buffers = np.empty((2, rows, n))
-        for lo, hi in group:
-            fill((lo, hi), buffers[:, : hi - lo])
+        nonlocal added, failed
+        tile = min(_TILE, n)
+        # one size for both passes, so that each pass's pieces can reuse
+        # the memory the other pass freed
+        pieces = np.empty(tile * min(_PIECE, 2 * n)).reshape(arrays, -1)
+        rows = np.empty((2, width * tile))
+        partial = np.empty((width, n))
+        try:
+            for span in group:
+                for lo in range(*span, _TILE):
+                    hi = min(lo + _TILE, span[1])
+                    piece_rows, band_rows = rows[:, : width * (hi - lo)].reshape(2, width, hi - lo)
+                    band_rows[...] = 0.0
+                    partial[:, hi:] = 0.0
+                    for start in range(lo, n, piece):
+                        stop = min(start + piece, n)
+                        size = (hi - lo) * (stop - start)
+                        scratch = pieces[:, :size].reshape(arrays, hi - lo, stop - start)
+                        fill((lo, hi), (start, stop), scratch, piece_rows, partial)
+                        band_rows += piece_rows
+                    partial[:, lo:hi] = band_rows
+                    with turn:
+                        turn.wait_for(lambda: added == lo or failed)
+                        if not failed:
+                            for total, part in zip(sums, partial):
+                                total[lo:] += part[lo:]
+                            added = hi
+                            turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
     # the pool starts threads only on submit, so none for the caller's group
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -117,33 +190,58 @@ def _input_order(order: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _class_bounds(labels: np.ndarray, k: int) -> list:
+    """Class c's rows, and columns, in class order are bounds[c]:bounds[c + 1]."""
+    return np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
+
+
+def _class_slices(bounds: list, lo: int, hi: int) -> list:
+    """``(c, a, b)`` for each class c whose slice [bounds[c], bounds[c + 1])
+    of class order meets [lo, hi), with [a, b) the part inside."""
+    first = bisect.bisect_right(bounds, lo) - 1
+    last = bisect.bisect_left(bounds, hi, lo=first)
+    slices = [(c, max(bounds[c], lo), min(bounds[c + 1], hi)) for c in range(first, last)]
+    return [(c, a, b) for c, a, b in slices if a < b]
+
+
 def _similarity_rows(
-    points: np.ndarray, lo: int, hi: int, bandwidth: float, out: np.ndarray, shifted: bool = False
+    points: np.ndarray,
+    lo: int,
+    hi: int,
+    bandwidth: float,
+    out: np.ndarray,
+    start: int = 0,
+    shifted: bool = False,
 ) -> np.ndarray:
-    """Rows lo:hi of the Gaussian similarity matrix of ``points``, with
-    each row's own column zero, written into ``out``, a C-contiguous
-    (hi - lo, n) float64 array.
+    """Rows lo:hi of the Gaussian similarity matrix of ``points`` against
+    columns start:start + w, with each row's own column zero, written
+    into ``out``, a C-contiguous (hi - lo, w) float64 array. The columns
+    hold either every row's own column (start <= lo and hi <= start + w)
+    or none (start >= hi).
 
     ``cdist`` sums each squared distance over the coordinates in a fixed
-    order, so a row's values do not depend on the span it is computed in
-    or on the array it is written to. With ``shifted``, row u is divided
-    by its nearest neighbour's similarity: exp(-(||x_u - x_j||^2 -
-    min_{k != u} ||x_u - x_k||^2) / (2 sigma^2)). Posteriors and gradient
-    terms are ratios to a row's mass, so they keep their value, also
-    where the plain mass underflows float64.
+    order, and (a - b)^2 = (b - a)^2, so the entry of a pair has the same
+    bits whichever point is the row, whatever block it is computed in and
+    whatever array it is written to: a band can compute each pair once.
+    With ``shifted``, which takes whole rows (start 0, w = n), row u is
+    divided by its nearest neighbour's similarity:
+    exp(-(||x_u - x_j||^2 - min_{k != u} ||x_u - x_k||^2) / (2 sigma^2)).
+    Posteriors and gradient terms are ratios to a row's mass, so they
+    keep their value, also where the plain mass underflows float64.
     """
     from scipy.spatial.distance import cdist
 
-    block = cdist(points[lo:hi], points, "sqeuclidean", out=out)
+    block = cdist(points[lo:hi], points[start : start + out.shape[1]], "sqeuclidean", out=out)
+    own = block[:, lo - start : hi - start] if start <= lo else block[:, :0]
     if shifted:
-        np.fill_diagonal(block[:, lo:hi], np.inf)
+        np.fill_diagonal(own, np.inf)
         nearest = block.min(axis=1, keepdims=True)
         if not np.isfinite(nearest).all():
             raise ValueError("squared distance to its nearest neighbour overflows")
         block -= nearest
     block /= -2.0 * bandwidth * bandwidth
     np.exp(block, out=block)
-    np.fill_diagonal(block[:, lo:hi], 0.0)
+    np.fill_diagonal(own, 0.0)
     return block
 
 
@@ -155,41 +253,49 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     argsort of the labels, the coordinates in that order, each row's
     similarity mass, the rows whose mass is zero or subnormal, listed in
     input order, and the (n, k) posteriors; ``den`` and ``posteriors``
-    are in class order. Each row in ``underflow`` is summed again by the
-    same span fill, on its own one-row span with shifted similarities, so
-    its ``den`` is the shifted mass.
+    are in class order. Each row in ``underflow`` is summed again from
+    its whole row of shifted similarities, so its ``den`` is the shifted
+    mass.
     The estimator and the gradient both read this one streamed pass, so
     the objective of the gradient is bit-equal to the estimate.
     """
     # scipy.spatial is most of the package's import time, so it loads on
-    # the first pass, here on the calling thread before any span runs
+    # the first pass, here on the calling thread before any band runs
     import scipy.spatial.distance  # noqa: F401
 
     order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
-    classes = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    bounds = _class_bounds(labels, k)
     points = coords[order]
     n = points.shape[0]
-    num = np.empty((n, k))
+    # num[c, i]: row i's similarity mass in class c
+    num = np.zeros((k, n))
 
-    def fill(span, scratch, shifted=False) -> None:
-        lo, hi = span
-        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0], shifted=shifted)
-        for c, columns in enumerate(classes):
-            sims[:, columns].sum(axis=1, out=num[lo:hi, c])
+    def fill(band, columns, scratch, rows, partial) -> None:
+        lo, hi = band
+        start, stop = columns
+        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0], start=start)
+        rows[...] = 0.0
+        for c, a, b in _class_slices(bounds, start, stop):
+            sims[:, a - start : b - start].sum(axis=1, out=rows[c])
+        if hi < stop:
+            first = max(hi, start)
+            for c, a, b in _class_slices(bounds, lo, hi):
+                sims[a - lo : b - lo, first - start :].sum(axis=0, out=partial[c, first:stop])
 
-    _run_row_spans(fill, n)
-    den = num.sum(axis=1)
+    _run_row_spans(fill, num, arrays=1)
+    den = num.sum(axis=0)
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
     underflow = underflow[np.argsort(order[underflow])]
-    scratch = np.empty((1, 1, n))
+    row = np.empty((1, n))
     for u in underflow:
         try:
-            fill((u, u + 1), scratch, shifted=True)
+            sims = _similarity_rows(points, u, u + 1, bandwidth, out=row, shifted=True)
         except ValueError as exc:
             raise ValueError(f"row {order[u]}: {exc}") from None
-        den[u] = num[u].sum()
-    return order, points, den, underflow, num / den[:, None]
+        for c, a, b in _class_slices(bounds, 0, n):
+            num[c, u] = sims[0, a:b].sum()
+        den[u] = num[:, u].sum()
+    return order, points, den, underflow, np.ascontiguousarray((num / den).T)
 
 
 def _objective_and_gradient(
@@ -202,10 +308,12 @@ def _objective_and_gradient(
     ``floor``, and otherwise ``(objective, (tied rows, gradients))`` in
     input order; the formula is on ``perturb.objective_and_gradient``.
     The gradient takes a second streamed pass, pass B, which builds each
-    row span of W from an (n, k) coefficient table.
+    piece of W from an (n, k) coefficient table. W is symmetric, so a
+    band's strip gives its rows' sums and, over its rows, the sums of the
+    rows after it.
     """
     order, points, den, underflow, posteriors = _posterior_pass(coords, labels, k, bandwidth)
-    n = points.shape[0]
+    n, d = points.shape
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
@@ -214,29 +322,44 @@ def _objective_and_gradient(
     if floor is not None and objective < floor:
         return objective, None
     labels = labels[order]
+    bounds = _class_bounds(labels, k)
     tied = (posteriors == pstar[:, None]).sum(axis=1) > 1
 
     # C[i, j] = table[i, y_j], so W streams from this (n, K) table
     selected = np.arange(k) == cstar[:, None]
     table = (selected - pstar[:, None]) / den[:, None]
     table_t = np.ascontiguousarray(table.T)
-    points_t = np.ascontiguousarray(points.T)
-    wsum = np.empty(n)
-    mixed = np.empty_like(points)
+    # sums[:, i] = sum_j W[i, j] basis[:, j]: with a row of ones over the
+    # transposed coordinates, one einsum gives sum_j W[i, j] in row 0 and
+    # sum_j W[i, j] x_j in the rest
+    basis = np.empty((d + 1, n))
+    basis[0] = 1.0
+    basis[1:] = points.T
+    sums = np.zeros((d + 1, n))
 
     # labels lie in [0, K), so "clip" moves no index; under the default
     # "raise", take fills ``out`` through a fresh copy
-    def fill(span, scratch) -> None:
-        lo, hi = span
-        weights = np.take(table[lo:hi], labels, axis=1, out=scratch[0], mode="clip")
-        weights += np.take(table_t, labels[lo:hi], axis=0, out=scratch[1], mode="clip")
-        weights *= _similarity_rows(points, lo, hi, bandwidth, out=scratch[1])
+    def fill(band, columns, scratch, rows, partial) -> None:
+        lo, hi = band
+        start, stop = columns
+        weights, sims = scratch
+        np.take(table[lo:hi], labels[start:stop], axis=1, out=weights, mode="clip")
+        # C[j, i] = table[j, y_i] is one row of table_t per class of rows;
+        # a broadcast copy, unlike a broadcast add, takes no numpy buffer
+        for c, a, b in _class_slices(bounds, lo, hi):
+            sims[a - lo : b - lo] = table_t[c, start:stop]
+        weights += sims
+        weights *= _similarity_rows(points, lo, hi, bandwidth, out=sims, start=start)
         weights /= bandwidth * bandwidth
-        np.fill_diagonal(weights[:, lo:hi], 0.0)
-        weights.sum(axis=1, out=wsum[lo:hi])
-        np.einsum("ij,kj->ik", weights, points_t, out=mixed[lo:hi])
+        if start == lo:
+            np.fill_diagonal(weights[:, : hi - lo], 0.0)
+        np.einsum("ij,kj->ki", weights, basis[:, start:stop], out=rows)
+        if hi < stop:
+            first = max(hi, start)
+            after = weights[:, first - start :]
+            np.einsum("ij,ki->kj", after, basis[:, lo:hi], out=partial[:, first:stop])
 
-    _run_row_spans(fill, n)
+    _run_row_spans(fill, sums, arrays=2)
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, w_um = C[u, m] s(x_u, x_m) / sigma^2, to W[u, m]
     # and W[m, u] from its shifted similarities
@@ -244,17 +367,16 @@ def _objective_and_gradient(
     for u in underflow:
         _similarity_rows(points, u, u + 1, bandwidth, out=row, shifted=True)
         weights = table[u].take(labels) * row[0] / (bandwidth * bandwidth)
-        wsum[u] += weights.sum()
-        mixed[u] += np.einsum("j,kj->k", weights, points_t)
-        wsum += weights
-        mixed += weights[:, None] * points[u]
-    # (wsum * x - mixed) / n, formed in place
-    gradients = wsum[:, None] * points
-    gradients -= mixed
-    gradients /= n
-    # mixed is spent, so it takes the gradients back to input order
-    mixed[order] = gradients
-    return objective, (np.flatnonzero(_input_order(order, tied)), mixed)
+        sums[:, u] += np.einsum("j,kj->k", weights, basis)
+        sums += basis[:, u, None] * weights
+    # (wsum * x - mixed) / n, formed in place in the spent basis
+    gradients_t = basis[1:]
+    gradients_t *= sums[0]
+    gradients_t -= sums[1:]
+    gradients_t /= n
+    gradients = np.empty_like(points)
+    gradients[order] = gradients_t.T
+    return objective, (np.flatnonzero(_input_order(order, tied)), gradients)
 
 
 def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> PosteriorMatrix:

@@ -104,7 +104,7 @@ def objective_and_gradient(
     *,
     floor: float | None = None,
 ) -> GradientReport | None:
-    """Bayes error estimate and its analytic gradient, streamed in row spans.
+    """Bayes error estimate and its analytic gradient, streamed in bands of rows.
 
     Each row's argmax class c*_i is fixed first (ties go to the lowest
     class index), making the objective locally an average of plain

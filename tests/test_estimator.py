@@ -178,21 +178,29 @@ def test_threads_do_not_change_bits(monkeypatch):
     labels = rng.choice([0, 2, 3], size=150, p=[0.6, 0.3, 0.1])
     cases.append(LabeledDataset(cases[1].points, labels, 5))
     cases.append(LabeledDataset(cases[0].points, np.zeros(150, dtype=int), 1))
-    references = [
-        (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
-        for ds in cases
-    ]
-    # 30-row spans end in a short one; 1-row spans are the finest split;
-    # 100-row spans make two, the last short, fewer than three workers
-    for chunk in (150 * 30, 1, 150 * 100):
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(150)) >= 2
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_WORKERS", workers)
-            for ds, (reference, value) in zip(cases, references):
-                got = estimate_posteriors(ds, kernel)
-                np.testing.assert_array_equal(got.values, reference)
-                assert estimate_bayes_error(ds, kernel).value == value
+    # 8-row bands give the pass 19 of them, so three workers get groups
+    # of uneven length; the references are recomputed at each band width
+    default = estimator._CHUNK_ELEMENTS
+    for tile in (estimator._TILE, 8):
+        monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", default)
+        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        references = [
+            (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
+            for ds in cases
+        ]
+        # spans of 30 rows, rounded down to whole bands, end in a short one;
+        # a chunk of 1 gives one-band spans, the finest split; 100-row spans
+        # make two, the last short, fewer than three workers
+        for chunk in (150 * 30, 1, 150 * 100):
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+            assert len(estimator._row_spans(150)) >= 2
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(estimator, "_WORKERS", workers)
+                for ds, (reference, value) in zip(cases, references):
+                    got = estimate_posteriors(ds, kernel)
+                    assert got.values.tobytes() == reference.tobytes()
+                    assert estimate_bayes_error(ds, kernel).value == value
 
 
 def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
@@ -211,8 +219,9 @@ def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
     objective_and_gradient(ds, K1)
     # one fill for the estimate and two for the gradient's two passes
     assert threads == {0: [threading.current_thread()] * 3}
-    # in a pass of four spans the calling thread fills the first and the
-    # pool the others
+    # in a pass of four one-band spans the calling thread fills the first
+    # and the pool the others
+    monkeypatch.setattr(estimator, "_TILE", 10)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 40 * 10)
     threads.clear()
     estimate_posteriors(ds, K1)
@@ -263,13 +272,15 @@ def test_package_import_leaves_scipy_spatial_to_the_first_pass():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers):
+    # one-band spans of 10 rows, each strip one piece
+    monkeypatch.setattr(estimator, "_TILE", 10)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 60 * 10)
     monkeypatch.setattr(estimator, "_WORKERS", workers)
     spans = estimator._row_spans(60)
     failing = spans[1]
     done = []
 
-    def fill(span, scratch):
+    def fill(span, columns, scratch, rows, partial):
         if span == failing:
             raise RuntimeError("fill failed")
         # the caller's group 0 is quick, so a group 2 is still running
@@ -279,8 +290,74 @@ def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers
         done.append(span)
 
     with pytest.raises(RuntimeError, match="fill failed"):
-        _run_row_spans(fill, 60)
+        _run_row_spans(fill, np.zeros((1, 60)), arrays=1)
     assert sorted(done) == [span for span in spans if span not in spans[1::workers]]
+
+
+def run_with_timeout(call, seconds=30.0):
+    """``call()``'s result, or the error it raised, from a thread that
+    must end within ``seconds``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:  # handed to the test, which checks it
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the pass did not return"
+    return outcome
+
+
+@pytest.mark.parametrize("failing_pass", ["posteriors", "gradient"])
+def test_failing_band_ends_the_pass_with_its_error(monkeypatch, failing_pass):
+    # 19 one-band spans over three workers; the band at row 40 is worker
+    # 2's second, and the bands after it wait on it in the ordered sums.
+    # Each pass takes the band's strip in one piece, so the band's second
+    # strip is pass B's
+    monkeypatch.setattr(estimator, "_TILE", 8)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(estimator, "_WORKERS", 3)
+    similarity_rows = estimator._similarity_rows
+    strips = []
+
+    def failing(points, lo, *args, **kwargs):
+        if lo == 40:
+            strips.append(lo)
+            if len(strips) == (1 if failing_pass == "posteriors" else 2):
+                raise RuntimeError("band 40 failed")
+        return similarity_rows(points, lo, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_similarity_rows", failing)
+    ds = random_dataset(np.random.default_rng(18), n=150, d=2, k=3)
+    outcome = run_with_timeout(lambda: objective_and_gradient(ds, K1))
+    assert str(outcome["error"]) == "band 40 failed"
+
+
+def test_band_order_holds_with_more_workers_than_cpus(monkeypatch):
+    # six workers on 4-row bands, the interpreter switching threads every
+    # 10 microseconds: a band added out of order or twice, or an update
+    # lost, changes the bits
+    ds = random_dataset(np.random.default_rng(19), n=90, d=3, k=3)
+    monkeypatch.setattr(estimator, "_TILE", 4)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(estimator, "_WORKERS", 1)
+    posteriors = estimate_posteriors(ds, K1).values.tobytes()
+    gradients = objective_and_gradient(ds, K1).gradients.tobytes()
+    monkeypatch.setattr(estimator, "_WORKERS", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            got = run_with_timeout(lambda: estimate_posteriors(ds, K1))["value"]
+            assert got.values.tobytes() == posteriors
+            got = run_with_timeout(lambda: objective_and_gradient(ds, K1))["value"]
+            assert got.gradients.tobytes() == gradients
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_small_bandwidth_takes_each_rows_nearest_neighbour_label():

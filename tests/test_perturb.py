@@ -64,56 +64,101 @@ def far_row_dataset(seed, n=20, d=2):
 
 
 def row_splits(n):
-    """_CHUNK_ELEMENTS values that split an n-row pass into 30-row spans
-    ending in a short one, into 1-row spans, and into two spans, the last
-    one short, which is fewer spans than the 3 workers of the thread tests."""
+    """_CHUNK_ELEMENTS values that split an n-row pass into spans of 30
+    rows, rounded down to whole bands and ending in a short one, into
+    one-band spans, and into two spans, the last one short, which is
+    fewer spans than the 3 workers of the thread tests."""
     return (n * 30, 1, n * (2 * n // 3))
+
+
+def banded_sums(n, width, piece, rows, columns):
+    """The (width, n) sums of a symmetric pairwise pass in the operation
+    order of the banded runner. Band [lo, hi) takes its columns lo:n in
+    pieces of ``piece`` columns: it adds rows(lo, hi, start, stop), the
+    piece's (width, hi - lo) row sums, to its rows, and takes
+    columns(lo, hi, first, stop), the (width, stop - first) column sums
+    over its rows, for the piece's columns from hi on. Each band's sums
+    then add to the total in band order."""
+    tile = estimator._TILE
+    sums = np.zeros((width, n))
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        partial = np.zeros((width, n))
+        for start in range(lo, n, piece):
+            stop = min(start + piece, n)
+            partial[:, lo:hi] += rows(lo, hi, start, stop)
+            if hi < stop:
+                first = max(hi, start)
+                partial[:, first:stop] = columns(lo, hi, first, stop)
+        sums[:, lo:] += partial[:, lo:]
+    return sums
 
 
 def dense_gradient(ds, sigma):
     """Objective and gradient from the dense n x n weight matrix
     W = (C + C^T) * S / sigma^2 of the objective_and_gradient docstring,
-    in the operation order of the streamed pass: columns in class order,
-    each class's mass summed over its own columns, and each entry of
-    sum_j W[i, j] x_j one contiguous dot. A row whose mass is below the
-    smallest normal float64 takes its posterior and its own terms of W
-    from its similarities divided by its nearest neighbour's."""
-    n, k, x, y = ds.n, ds.num_classes, ds.points, ds.labels
-    order = np.argsort(y, kind="stable")
-    own = (np.arange(n), np.argsort(order))
-    bounds = np.searchsorted(y[order], np.arange(k + 1))
-    slices = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
-    x_by_class = x[order]
-    diff = x[:, None, :] - x_by_class[None, :, :]
+    in the operation order of the banded pass: rows and columns in class
+    order, each class's mass summed over its own columns, and
+    sum_j W[i, j] x_j taken by einsum against the transposed coordinates
+    under a row of ones, which gives sum_j W[i, j]. A row whose mass is
+    below the smallest normal float64 takes its posterior and its own
+    terms of W from its similarities divided by its nearest
+    neighbour's."""
+    n, d, k = ds.n, ds.d, ds.num_classes
+    order = np.argsort(ds.labels, kind="stable")
+    x, y = ds.points[order], ds.labels[order]
+    bounds = np.searchsorted(y, np.arange(k + 1))
+    slices = list(zip(bounds[:-1], bounds[1:]))
+    diff = x[:, None, :] - x[None, :, :]
     sq = (diff * diff).sum(axis=2)
     sims = np.exp(-sq / (2.0 * sigma * sigma))
-    sims[own] = 0.0
-    sq[own] = np.inf
+    np.fill_diagonal(sims, 0.0)
+    np.fill_diagonal(sq, np.inf)
     shifted = np.exp(-(sq - sq.min(axis=1, keepdims=True)) / (2.0 * sigma * sigma))
-    num = np.stack([sims[:, columns].sum(axis=1) for columns in slices], axis=1)
-    den = num.sum(axis=1)
+    num = banded_sums(
+        n,
+        k,
+        estimator._PIECE,
+        lambda lo, hi, start, stop: np.array(
+            [sims[lo:hi, max(a, start) : min(b, stop)].sum(axis=1) for a, b in slices]
+        ),
+        lambda lo, hi, first, stop: np.array(
+            [sims[max(a, lo) : min(b, hi), first:stop].sum(axis=0) for a, b in slices]
+        ),
+    )
+    den = num.sum(axis=0)
     under = np.flatnonzero(den < np.finfo(np.float64).tiny)
+    under = under[np.argsort(order[under])]
     for u in under:
-        num[u] = [shifted[u, columns].sum() for columns in slices]
-        den[u] = num[u].sum()
-    posteriors = num / den[:, None]
+        num[:, u] = [shifted[u, a:b].sum() for a, b in slices]
+        den[u] = num[:, u].sum()
+    posteriors = (num / den).T
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     selected = (y[None, :] == cstar[:, None]).astype(np.float64)
     coeff = (selected - pstar[:, None]) / den[:, None]
-    coeff_by_class = coeff[:, order]
-    weights = (coeff_by_class + coeff[order].T) * sims / (sigma * sigma)
-    weights[own] = 0.0
-    wsum = weights.sum(axis=1)
-    x_by_class_t = np.ascontiguousarray(x_by_class.T)
-    mixed = np.einsum("ij,kj->ik", weights, x_by_class_t)
+    weights = (coeff + coeff.T) * sims / (sigma * sigma)
+    np.fill_diagonal(weights, 0.0)
+    basis = np.ascontiguousarray(np.vstack([np.ones(n), x.T]))
+    sums = banded_sums(
+        n,
+        d + 1,
+        estimator._PIECE // 2,
+        lambda lo, hi, start, stop: np.einsum(
+            "ij,kj->ki", weights[lo:hi, start:stop], basis[:, start:stop]
+        ),
+        lambda lo, hi, first, stop: np.einsum(
+            "ij,ki->kj", weights[lo:hi, first:stop], basis[:, lo:hi]
+        ),
+    )
     for u in under:
-        terms = coeff_by_class[u] * shifted[u] / (sigma * sigma)
-        wsum[u] += terms.sum()
-        mixed[u] += np.einsum("j,kj->k", terms, x_by_class_t)
-        wsum[order] += terms
-        mixed[order] += terms[:, None] * x[u]
-    return 1.0 - pstar.mean(), (wsum[:, None] * x - mixed) / n
+        terms = coeff[u] * shifted[u] / (sigma * sigma)
+        sums[:, u] += np.einsum("j,kj->k", terms, basis)
+        sums += basis[:, u, None] * terms
+    gradients, objectives = np.empty((n, d)), np.empty(n)
+    gradients[order] = ((basis[1:] * sums[0] - sums[1:]) / n).T
+    objectives[order] = pstar
+    return 1.0 - objectives.mean(), gradients
 
 
 def unused_classes_dataset(seed, n=120, d=3):
@@ -224,23 +269,52 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
     runs.append((far_row_dataset(6, n=120, d=3), None))
     runs.append((unused_classes_dataset(6), None))
     runs.append((LabeledDataset(cases[0][0].points, np.zeros(120, dtype=int), 1), None))
-    references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
-    for chunk in row_splits(120):
+    # 8-row bands give the pass 15 of them; the references are recomputed
+    # at each band width
+    default = estimator._CHUNK_ELEMENTS
+    for tile in (estimator._TILE, 8):
+        monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", default)
+        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
+        for chunk in row_splits(120):
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+            assert len(estimator._row_spans(120)) >= 2
+            # three workers get groups of uneven length
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(estimator, "_WORKERS", workers)
+                for (ds, e), reference in zip(runs, references):
+                    got = objective_and_gradient(ds, K1, embedding=e)
+                    assert got.objective == reference.objective
+                    assert got.gradients.tobytes() == reference.gradients.tobytes()
+
+
+def test_gradient_bits_do_not_follow_the_span_size_at_d1(monkeypatch):
+    # at d=1 an einsum over more than 8192 columns sums in buffer-sized
+    # pieces, split by how many rows it takes; every einsum of the pass
+    # has the shape of a band's piece, which depends on n and the band
+    # alone. At n=9000 the default span and a chunk of n are one band
+    # each, and 256-row spans hold four
+    ds = random_dataset(20, n=9000, d=1, k=3)
+    kernel = SimilarityKernel(bandwidth=0.5)
+    monkeypatch.setattr(estimator, "_WORKERS", 1)
+    reference = objective_and_gradient(ds, kernel).gradients.tobytes()
+    for chunk, workers in ((9000, 2), (9000 * 256, 1), (9000 * 256, 2)):
         monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(120)) >= 2
-        # three workers get groups of uneven length
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_WORKERS", workers)
-            for (ds, e), reference in zip(runs, references):
-                got = objective_and_gradient(ds, K1, embedding=e)
-                assert got.objective == reference.objective
-                np.testing.assert_array_equal(got.gradients, reference.gradients)
+        monkeypatch.setattr(estimator, "_WORKERS", workers)
+        assert objective_and_gradient(ds, kernel).gradients.tobytes() == reference
 
 
 def test_gradient_matches_dense_oracle(monkeypatch):
     default = estimator._CHUNK_ELEMENTS
     cases = []
-    for ds in (random_dataset(13, n=40, d=2, k=3), unused_classes_dataset(13, n=40, d=2)):
+    # the 200-row sample holds four bands, so its rows add column sums of
+    # earlier bands to their own
+    for ds in (
+        random_dataset(13, n=40, d=2, k=3),
+        unused_classes_dataset(13, n=40, d=2),
+        random_dataset(13, n=200, d=2, k=3),
+    ):
         # one row so far away that its similarity mass underflows to zero
         far = ds.points.copy()
         far[17] = [1e3, -1e3]
@@ -253,13 +327,18 @@ def test_gradient_matches_dense_oracle(monkeypatch):
     points[[5, 30]] = [[60.0, 0.0], [-60.0, 0.0]]
     labels[[5, 30]] = [2, 0]
     cases.append(LabeledDataset(points, labels, 3))
-    for ds in cases:
-        objective, gradients = dense_gradient(ds, 1.0)
-        for chunk in (default,) + row_splits(ds.n):
-            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-            report = objective_and_gradient(ds, K1)
-            assert report.objective == objective
-            np.testing.assert_array_equal(report.gradients, gradients)
+    # 16-row bands in pieces of 48 columns in pass A and 24 in pass B give
+    # every case several bands and most strips several pieces
+    for tile, piece in ((estimator._TILE, estimator._PIECE), (16, 48)):
+        monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_PIECE", piece)
+        for ds in cases:
+            objective, gradients = dense_gradient(ds, 1.0)
+            for chunk in (default,) + row_splits(ds.n):
+                monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+                report = objective_and_gradient(ds, K1)
+                assert report.objective == objective
+                np.testing.assert_array_equal(report.gradients, gradients)
 
 
 # (d, K) of the accuracy instances, d from 2 to 64 and K from 2 to 10
@@ -659,20 +738,27 @@ def test_pga_threads_bitwise_identical(monkeypatch):
         (random_dataset(11, n=80, d=2), linf, large, None),
         (random_dataset(12, n=80, d=2), l2, large, tanh_embedding(2)),
     ]
-    references = [pga_maximize(ds, K1, c, config, embedding=e) for ds, c, config, e in cases]
-    assert references[3].halvings == (0, 0, 2)
-    for chunk in row_splits(80):
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        assert len(estimator._row_spans(80)) >= 2
-        # three workers get groups of uneven length
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_WORKERS", workers)
-            for (ds, c, config, e), reference in zip(cases, references):
-                got = pga_maximize(ds, K1, c, config, embedding=e)
-                np.testing.assert_array_equal(got.perturbed.points, reference.perturbed.points)
-                np.testing.assert_array_equal(got.deltas, reference.deltas)
-                np.testing.assert_array_equal(got.trace, reference.trace)
-                assert got.halvings == reference.halvings
+    # 8-row bands give the pass 10 of them; the references are recomputed
+    # at each band width
+    default = estimator._CHUNK_ELEMENTS
+    for tile in (estimator._TILE, 8):
+        monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", default)
+        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        references = [pga_maximize(ds, K1, c, config, embedding=e) for ds, c, config, e in cases]
+        assert references[3].halvings == (0, 0, 2)
+        for chunk in row_splits(80):
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+            assert len(estimator._row_spans(80)) >= 2
+            # three workers get groups of uneven length
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(estimator, "_WORKERS", workers)
+                for (ds, c, config, e), reference in zip(cases, references):
+                    got = pga_maximize(ds, K1, c, config, embedding=e)
+                    assert got.perturbed.points.tobytes() == reference.perturbed.points.tobytes()
+                    assert got.deltas.tobytes() == reference.deltas.tobytes()
+                    assert got.trace.tobytes() == reference.trace.tobytes()
+                    assert got.halvings == reference.halvings
 
 
 def test_pga_rejects_all_frozen():
