@@ -29,8 +29,8 @@ pass computes every pair once. It runs over bands of ``_TILE`` rows:
 band [lo, hi) computes its strip, its rows against columns lo:n, and
 the strip's row sums go to rows lo:hi and its column sums over the
 band's rows to rows hi:n. The runner adds the bands' sums in band
-order, so the bits follow the band width alone, not the span size or
-the worker count.
+order, so the bits follow the band and piece widths alone, not the
+span size or the worker count.
 """
 
 from __future__ import annotations
@@ -48,6 +48,13 @@ from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_arr
 # Rows per band of the pairwise pass; the band bounds fix the order of
 # every sum, and so the results' bits.
 _TILE = 64
+
+# Scratch columns per band: each worker computes a band's strip a piece at
+# a time in _TILE * _PIECE float64s (512 kB), as one (_TILE, _PIECE) array
+# in pass A and as two (_TILE, _PIECE // 2) arrays in pass B, which needs
+# two. A row adds its pieces' sums in column order, so the piece widths
+# are part of the results' bits too.
+_PIECE = 1024
 
 # Target element count per row span: spans of _CHUNK_ELEMENTS // n rows,
 # rounded down to whole bands and at least one, are dealt to the workers.
@@ -97,57 +104,64 @@ def _run_row_spans(fill, sums: np.ndarray, arrays: int) -> None:
     """Add every band's sums of a symmetric pairwise pass into ``sums``, a
     zeroed (width, n) float64 array whose column i belongs to row i.
 
-    For each band [lo, hi) of ``_TILE`` rows the runner calls
-    ``fill((lo, hi), scratch, partial)``. ``scratch`` holds ``arrays``
-    (hi - lo, n - lo) arrays, room for the band's strip against columns
-    lo:n. The fill writes the strip's row sums to ``partial[:, lo:hi]``
-    and its column sums over the band's rows to ``partial[:, hi:]``,
-    where ``partial`` is a (width, n) array that is zero from column lo
-    on when the band starts. Once every earlier band is in ``sums`` the
-    runner adds ``partial[:, lo:]`` to ``sums[:, lo:]``. So each column
-    of ``sums`` adds the earlier bands' column sums in band order, then
-    its own band's row sums, whichever worker computed them. The arrays
-    handed to a fill are C-contiguous, and the runner adds one contiguous
-    row at a time, as numpy buffers an addition over strided 2-d views
-    in up to 192 kB per call.
+    For each band [lo, hi) of ``_TILE`` rows and each piece [start, stop)
+    of at most ``_PIECE // arrays`` columns of lo:n, in order, the runner
+    calls ``fill((lo, hi), (start, stop), scratch, rows, partial)``.
+    ``scratch`` holds ``arrays`` (hi - lo, stop - start) arrays, which
+    share ``_TILE * _PIECE`` doubles whatever ``arrays`` is. The fill
+    writes the piece's row sums to ``rows``, a (width, hi - lo) array,
+    and its column sums over the band's rows to the columns from hi on of
+    ``partial``, a (width, n) array that is zero there when the band
+    starts. The runner adds up the pieces' row sums in column order, and
+    once every earlier band is in ``sums`` it adds the band's row sums to
+    ``sums[:, lo:hi]`` and its column sums to ``sums[:, hi:]``. So each
+    column of ``sums`` adds the earlier bands' column sums in band order,
+    then its own band's row sums, whichever worker computed them. The
+    arrays handed to a fill are C-contiguous, and the runner adds one
+    contiguous row at a time, as numpy buffers an addition over strided
+    2-d views in up to 192 kB per call.
 
     Spans of whole bands are dealt to ``min(_WORKERS, spans)`` workers:
-    worker w takes the interleaved group ``spans[w::workers]``. The
-    calling thread allocates every worker's scratch and ``partial`` once,
-    so the pass holds O(workers * n * (2 * _TILE + width)) scratch, no
-    band allocates, and all of it comes from the calling thread's heap:
-    glibc may give a pool thread a heap of its own, which keeps freed
-    strips resident when one pass's thread starts before the last one's
-    has exited. The calling thread is worker 0 and a per-pass pool runs
-    the others, so a single-span pass starts no thread. A worker whose fill fails
-    stops, and the others run their remaining bands without adding them,
-    so no worker waits on a band that is never added. Every worker has
-    finished before this returns, or raises the error of the
-    lowest-numbered worker that failed.
+    worker w takes the interleaved group ``spans[w::workers]`` and
+    allocates its scratch, its row sums and its ``partial`` once, so the
+    pass holds O(workers * (_TILE * _PIECE + n * width)) scratch and no
+    band allocates. The calling thread is worker 0 and a per-pass pool
+    runs the others, so a single-span pass starts no thread. A worker
+    whose fill fails stops, and the others run their remaining bands
+    without adding them, so no worker waits on a band that is never
+    added. Every worker has finished before this returns, or raises the
+    error of the lowest-numbered worker that failed.
     """
     width, n = sums.shape
+    piece = _PIECE // arrays
     spans = _row_spans(n)
     workers = min(_WORKERS, len(spans))
     turn = threading.Condition()
     added = 0  # sums holds every band that ends at or before this row
     failed = False
 
-    # one strip size for both passes, so that each pass can reuse the
-    # memory the other freed
-    strips = np.empty((workers, 2 * min(_TILE, n) * n))
-    partials = np.empty((workers, width, n))
-
-    def run(w) -> None:
+    def run(group) -> None:
         nonlocal added, failed
-        partial = partials[w]
+        tile = min(_TILE, n)
+        # one size for both passes, so that each pass's pieces can reuse
+        # the memory the other pass freed
+        pieces = np.empty(tile * min(_PIECE, 2 * n)).reshape(arrays, -1)
+        rows = np.empty((2, width * tile))
+        partial = np.empty((width, n))
         try:
-            for span in spans[w::workers]:
+            for span in group:
                 for lo in range(*span, _TILE):
                     hi = min(lo + _TILE, span[1])
-                    size = (hi - lo) * (n - lo)
-                    scratch = strips[w, : arrays * size].reshape(arrays, hi - lo, n - lo)
-                    partial[:, lo:] = 0.0
-                    fill((lo, hi), scratch, partial)
+                    piece_rows, band_rows = rows[:, : width * (hi - lo)].reshape(2, width, hi - lo)
+                    band_rows[...] = 0.0
+                    partial[:, hi:] = 0.0
+                    for start in range(lo, n, piece):
+                        stop = min(start + piece, n)
+                        size = (hi - lo) * (stop - start)
+                        scratch = pieces[:, :size].reshape(arrays, hi - lo, stop - start)
+                        fill((lo, hi), (start, stop), scratch, piece_rows, partial)
+                        band_rows += piece_rows
+                    partial[:, lo:hi] = band_rows
                     with turn:
                         turn.wait_for(lambda: added == lo or failed)
                         if not failed:
@@ -163,8 +177,8 @@ def _run_row_spans(fill, sums: np.ndarray, arrays: int) -> None:
 
     # the pool starts threads only on submit, so none for the caller's group
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, w) for w in range(1, workers)]
-        run(0)
+        futures = [pool.submit(run, spans[w::workers]) for w in range(1, workers)]
+        run(spans[0::workers])
         for future in futures:
             future.result()
 
@@ -200,24 +214,25 @@ def _similarity_rows(
     shifted: bool = False,
 ) -> np.ndarray:
     """Rows lo:hi of the Gaussian similarity matrix of ``points`` against
-    columns start:n, with start <= lo and each row's own column zero,
-    written into ``out``, a C-contiguous (hi - lo, n - start) float64
-    array.
+    columns start:start + w, with each row's own column zero, written
+    into ``out``, a C-contiguous (hi - lo, w) float64 array. The columns
+    hold either every row's own column (start <= lo and hi <= start + w)
+    or none (start >= hi).
 
     ``cdist`` sums each squared distance over the coordinates in a fixed
     order, and (a - b)^2 = (b - a)^2, so the entry of a pair has the same
     bits whichever point is the row, whatever block it is computed in and
     whatever array it is written to: a band can compute each pair once.
-    With ``shifted``, which takes whole rows (start 0), row u is divided
-    by its nearest neighbour's similarity:
+    With ``shifted``, which takes whole rows (start 0, w = n), row u is
+    divided by its nearest neighbour's similarity:
     exp(-(||x_u - x_j||^2 - min_{k != u} ||x_u - x_k||^2) / (2 sigma^2)).
     Posteriors and gradient terms are ratios to a row's mass, so they
     keep their value, also where the plain mass underflows float64.
     """
     from scipy.spatial.distance import cdist
 
-    block = cdist(points[lo:hi], points[start:], "sqeuclidean", out=out)
-    own = block[:, lo - start : hi - start]
+    block = cdist(points[lo:hi], points[start : start + out.shape[1]], "sqeuclidean", out=out)
+    own = block[:, lo - start : hi - start] if start <= lo else block[:, :0]
     if shifted:
         np.fill_diagonal(own, np.inf)
         nearest = block.min(axis=1, keepdims=True)
@@ -255,13 +270,17 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     # num[c, i]: row i's similarity mass in class c
     num = np.zeros((k, n))
 
-    def fill(band, scratch, partial) -> None:
+    def fill(band, columns, scratch, rows, partial) -> None:
         lo, hi = band
-        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0], start=lo)
-        for c, a, b in _class_slices(bounds, lo, n):
-            sims[:, a - lo : b - lo].sum(axis=1, out=partial[c, lo:hi])
-        for c, a, b in _class_slices(bounds, lo, hi):
-            sims[a - lo : b - lo, hi - lo :].sum(axis=0, out=partial[c, hi:])
+        start, stop = columns
+        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0], start=start)
+        rows[...] = 0.0
+        for c, a, b in _class_slices(bounds, start, stop):
+            sims[:, a - start : b - start].sum(axis=1, out=rows[c])
+        if hi < stop:
+            first = max(hi, start)
+            for c, a, b in _class_slices(bounds, lo, hi):
+                sims[a - lo : b - lo, first - start :].sum(axis=0, out=partial[c, first:stop])
 
     _run_row_spans(fill, num, arrays=1)
     den = num.sum(axis=0)
@@ -289,9 +308,9 @@ def _objective_and_gradient(
     ``floor``, and otherwise ``(objective, (tied rows, gradients))`` in
     input order; the formula is on ``perturb.objective_and_gradient``.
     The gradient takes a second streamed pass, pass B, which builds each
-    band's strip of W from an (n, k) coefficient table. W is symmetric,
-    so a band's strip gives its rows' sums and, over its rows, the sums
-    of the rows after it.
+    piece of W from an (n, k) coefficient table. W is symmetric, so a
+    band's strip gives its rows' sums and, over its rows, the sums of the
+    rows after it.
     """
     order, points, den, underflow, posteriors = _posterior_pass(coords, labels, k, bandwidth)
     n, d = points.shape
@@ -320,20 +339,25 @@ def _objective_and_gradient(
 
     # labels lie in [0, K), so "clip" moves no index; under the default
     # "raise", take fills ``out`` through a fresh copy
-    def fill(band, scratch, partial) -> None:
+    def fill(band, columns, scratch, rows, partial) -> None:
         lo, hi = band
+        start, stop = columns
         weights, sims = scratch
-        np.take(table[lo:hi], labels[lo:], axis=1, out=weights, mode="clip")
+        np.take(table[lo:hi], labels[start:stop], axis=1, out=weights, mode="clip")
         # C[j, i] = table[j, y_i] is one row of table_t per class of rows;
         # a broadcast copy, unlike a broadcast add, takes no numpy buffer
         for c, a, b in _class_slices(bounds, lo, hi):
-            sims[a - lo : b - lo] = table_t[c, lo:]
+            sims[a - lo : b - lo] = table_t[c, start:stop]
         weights += sims
-        weights *= _similarity_rows(points, lo, hi, bandwidth, out=sims, start=lo)
+        weights *= _similarity_rows(points, lo, hi, bandwidth, out=sims, start=start)
         weights /= bandwidth * bandwidth
-        np.fill_diagonal(weights, 0.0)
-        np.einsum("ij,kj->ki", weights, basis[:, lo:], out=partial[:, lo:hi])
-        np.einsum("ij,ki->kj", weights[:, hi - lo :], basis[:, lo:hi], out=partial[:, hi:])
+        if start == lo:
+            np.fill_diagonal(weights[:, : hi - lo], 0.0)
+        np.einsum("ij,kj->ki", weights, basis[:, start:stop], out=rows)
+        if hi < stop:
+            first = max(hi, start)
+            after = weights[:, first - start :]
+            np.einsum("ij,ki->kj", after, basis[:, lo:hi], out=partial[:, first:stop])
 
     _run_row_spans(fill, sums, arrays=2)
     # an underflowing row u streamed its own terms below float64's normal

@@ -272,7 +272,7 @@ def test_package_import_leaves_scipy_spatial_to_the_first_pass():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers):
-    # one-band spans of 10 rows
+    # one-band spans of 10 rows, each strip one piece
     monkeypatch.setattr(estimator, "_TILE", 10)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 60 * 10)
     monkeypatch.setattr(estimator, "_WORKERS", workers)
@@ -280,7 +280,7 @@ def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers
     failing = spans[1]
     done = []
 
-    def fill(span, scratch, partial):
+    def fill(span, columns, scratch, rows, partial):
         if span == failing:
             raise RuntimeError("fill failed")
         # the caller's group 0 is quick, so a group 2 is still running
@@ -316,8 +316,8 @@ def run_with_timeout(call, seconds=30.0):
 def test_failing_band_ends_the_pass_with_its_error(monkeypatch, failing_pass):
     # 19 one-band spans over three workers; the band at row 40 is worker
     # 2's second, and the bands after it wait on it in the ordered sums.
-    # Each pass computes the band's strip in one call, so the band's
-    # second strip is pass B's
+    # Each pass takes the band's strip in one piece, so the band's second
+    # strip is pass B's
     monkeypatch.setattr(estimator, "_TILE", 8)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(estimator, "_WORKERS", 3)

@@ -71,19 +71,25 @@ def row_splits(n):
     return (n * 30, 1, n * (2 * n // 3))
 
 
-def banded_sums(n, width, rows, columns):
+def banded_sums(n, width, piece, rows, columns):
     """The (width, n) sums of a symmetric pairwise pass in the operation
-    order of the banded runner. Band [lo, hi) takes its columns lo:n at
-    once: rows(lo, hi) gives its rows' (width, hi - lo) sums, and
-    columns(lo, hi) the (width, n - hi) column sums over its rows of
-    columns hi:n. Each band's sums then add to the total in band order."""
+    order of the banded runner. Band [lo, hi) takes its columns lo:n in
+    pieces of ``piece`` columns: it adds rows(lo, hi, start, stop), the
+    piece's (width, hi - lo) row sums, to its rows, and takes
+    columns(lo, hi, first, stop), the (width, stop - first) column sums
+    over its rows, for the piece's columns from hi on. Each band's sums
+    then add to the total in band order."""
     tile = estimator._TILE
     sums = np.zeros((width, n))
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
         partial = np.zeros((width, n))
-        partial[:, lo:hi] = rows(lo, hi)
-        partial[:, hi:] = columns(lo, hi)
+        for start in range(lo, n, piece):
+            stop = min(start + piece, n)
+            partial[:, lo:hi] += rows(lo, hi, start, stop)
+            if hi < stop:
+                first = max(hi, start)
+                partial[:, first:stop] = columns(lo, hi, first, stop)
         sums[:, lo:] += partial[:, lo:]
     return sums
 
@@ -112,9 +118,12 @@ def dense_gradient(ds, sigma):
     num = banded_sums(
         n,
         k,
-        lambda lo, hi: np.array([sims[lo:hi, max(a, lo) : b].sum(axis=1) for a, b in slices]),
-        lambda lo, hi: np.array(
-            [sims[max(a, lo) : min(b, hi), hi:].sum(axis=0) for a, b in slices]
+        estimator._PIECE,
+        lambda lo, hi, start, stop: np.array(
+            [sims[lo:hi, max(a, start) : min(b, stop)].sum(axis=1) for a, b in slices]
+        ),
+        lambda lo, hi, first, stop: np.array(
+            [sims[max(a, lo) : min(b, hi), first:stop].sum(axis=0) for a, b in slices]
         ),
     )
     den = num.sum(axis=0)
@@ -134,8 +143,13 @@ def dense_gradient(ds, sigma):
     sums = banded_sums(
         n,
         d + 1,
-        lambda lo, hi: np.einsum("ij,kj->ki", weights[lo:hi, lo:], basis[:, lo:]),
-        lambda lo, hi: np.einsum("ij,ki->kj", weights[lo:hi, hi:], basis[:, lo:hi]),
+        estimator._PIECE // 2,
+        lambda lo, hi, start, stop: np.einsum(
+            "ij,kj->ki", weights[lo:hi, start:stop], basis[:, start:stop]
+        ),
+        lambda lo, hi, first, stop: np.einsum(
+            "ij,ki->kj", weights[lo:hi, first:stop], basis[:, lo:hi]
+        ),
     )
     for u in under:
         terms = coeff[u] * shifted[u] / (sigma * sigma)
@@ -278,7 +292,7 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
 def test_gradient_bits_do_not_follow_the_span_size_at_d1(monkeypatch):
     # at d=1 an einsum over more than 8192 columns sums in buffer-sized
     # pieces, split by how many rows it takes; every einsum of the pass
-    # has the shape of a band's strip, which depends on n and the band
+    # has the shape of a band's piece, which depends on n and the band
     # alone. At n=9000 the default span and a chunk of n are one band
     # each, and 256-row spans hold four
     ds = random_dataset(20, n=9000, d=1, k=3)
@@ -313,9 +327,11 @@ def test_gradient_matches_dense_oracle(monkeypatch):
     points[[5, 30]] = [[60.0, 0.0], [-60.0, 0.0]]
     labels[[5, 30]] = [2, 0]
     cases.append(LabeledDataset(points, labels, 3))
-    # 16-row bands give every case several bands
-    for tile in (estimator._TILE, 16):
+    # 16-row bands in pieces of 48 columns in pass A and 24 in pass B give
+    # every case several bands and most strips several pieces
+    for tile, piece in ((estimator._TILE, estimator._PIECE), (16, 48)):
         monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_PIECE", piece)
         for ds in cases:
             objective, gradients = dense_gradient(ds, 1.0)
             for chunk in (default,) + row_splits(ds.n):
@@ -339,7 +355,8 @@ def accuracy_dataset(seed, d, k, n=400):
 def test_pass_is_within_rounding_of_an_fsum_oracle():
     eps = np.finfo(np.float64).eps
     cases = [accuracy_dataset(seed, d, k) for seed, (d, k) in enumerate(ACCURACY_SHAPES)]
-    # at n=2000 a band's strip runs over up to 2000 columns
+    # at n=2000 a band's strip is up to two pieces in pass A and four in
+    # pass B, whose row sums add across pieces
     cases.append(accuracy_dataset(len(ACCURACY_SHAPES), 2, 2, n=2000))
     for ds in cases:
         kernel = SimilarityKernel(bandwidth=median_heuristic_bandwidth(ds))
@@ -390,6 +407,22 @@ def test_gradient_memory_is_linear():
     finally:
         tracemalloc.stop()
     # one dense n x n float64 array would be n * n * 8 bytes
+    assert peak < n * n * 8 / 4
+
+
+def test_pass_memory_stays_linear_on_many_workers(monkeypatch):
+    # each worker holds its own scratch, so a many-CPU machine must not
+    # push either pass towards a dense array; at n=3000 there are 47
+    # one-band spans, enough for every worker
+    monkeypatch.setattr(estimator, "_WORKERS", 16)
+    n = 3000
+    ds = random_dataset(14, n=n, d=2, k=3)
+    tracemalloc.start()
+    try:
+        objective_and_gradient(ds, K1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < n * n * 8 / 4
 
 
