@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -195,12 +196,38 @@ def test_threads_do_not_change_bits(monkeypatch):
         for chunk in (150 * 30, 1, 150 * 100):
             monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
             assert len(estimator._row_spans(150)) >= 2
-            for workers in (1, 2, 3):
+            for workers in (1, 2, 3, 64):
                 monkeypatch.setattr(estimator, "_WORKERS", workers)
                 for ds, (reference, value) in zip(cases, references):
                     got = estimate_posteriors(ds, kernel)
                     assert got.values.tobytes() == reference.tobytes()
                     assert estimate_bayes_error(ds, kernel).value == value
+
+
+def test_scratch_budget_sets_the_workers_without_changing_bits(monkeypatch):
+    # 4-row one-band spans give n=300 75 spans, and with no floor the
+    # budget is an eighth of n x n, 11250 doubles: room for 5 workers of
+    # pass A at (4 + 3) * 300 doubles each and 3 of pass B at
+    # (2 * 4 + 4) * 300, fewer than the 64 CPUs and the 75 spans
+    monkeypatch.setattr(estimator, "_TILE", 4)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(estimator, "_WORKERS", 1)
+    ds = random_dataset(np.random.default_rng(22), n=300, d=3, k=3)
+    posteriors = estimate_posteriors(ds, K1).values.tobytes()
+    gradients = objective_and_gradient(ds, K1).gradients.tobytes()
+    pools = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(estimator, "_WORKERS", 64)
+    monkeypatch.setattr(estimator, "_SCRATCH", 0)
+    assert estimate_posteriors(ds, K1).values.tobytes() == posteriors
+    assert objective_and_gradient(ds, K1).gradients.tobytes() == gradients
+    assert pools == [5, 5, 3]
 
 
 def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
@@ -272,7 +299,7 @@ def test_package_import_leaves_scipy_spatial_to_the_first_pass():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers):
-    # one-band spans of 10 rows, each strip one piece
+    # one-band spans of 10 rows
     monkeypatch.setattr(estimator, "_TILE", 10)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 60 * 10)
     monkeypatch.setattr(estimator, "_WORKERS", workers)
@@ -280,7 +307,7 @@ def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers
     failing = spans[1]
     done = []
 
-    def fill(span, columns, scratch, rows, partial):
+    def fill(span, scratch, partial):
         if span == failing:
             raise RuntimeError("fill failed")
         # the caller's group 0 is quick, so a group 2 is still running
@@ -316,8 +343,8 @@ def run_with_timeout(call, seconds=30.0):
 def test_failing_band_ends_the_pass_with_its_error(monkeypatch, failing_pass):
     # 19 one-band spans over three workers; the band at row 40 is worker
     # 2's second, and the bands after it wait on it in the ordered sums.
-    # Each pass takes the band's strip in one piece, so the band's second
-    # strip is pass B's
+    # Each pass computes the band's strip in one call, so the band's
+    # second strip is pass B's
     monkeypatch.setattr(estimator, "_TILE", 8)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(estimator, "_WORKERS", 3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -71,25 +72,19 @@ def row_splits(n):
     return (n * 30, 1, n * (2 * n // 3))
 
 
-def banded_sums(n, width, piece, rows, columns):
+def banded_sums(n, width, rows, columns):
     """The (width, n) sums of a symmetric pairwise pass in the operation
-    order of the banded runner. Band [lo, hi) takes its columns lo:n in
-    pieces of ``piece`` columns: it adds rows(lo, hi, start, stop), the
-    piece's (width, hi - lo) row sums, to its rows, and takes
-    columns(lo, hi, first, stop), the (width, stop - first) column sums
-    over its rows, for the piece's columns from hi on. Each band's sums
-    then add to the total in band order."""
+    order of the banded runner. Band [lo, hi) takes its columns lo:n at
+    once: rows(lo, hi) gives its rows' (width, hi - lo) sums, and
+    columns(lo, hi) the (width, n - hi) column sums over its rows of
+    columns hi:n. Each band's sums then add to the total in band order."""
     tile = estimator._TILE
     sums = np.zeros((width, n))
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
         partial = np.zeros((width, n))
-        for start in range(lo, n, piece):
-            stop = min(start + piece, n)
-            partial[:, lo:hi] += rows(lo, hi, start, stop)
-            if hi < stop:
-                first = max(hi, start)
-                partial[:, first:stop] = columns(lo, hi, first, stop)
+        partial[:, lo:hi] = rows(lo, hi)
+        partial[:, hi:] = columns(lo, hi)
         sums[:, lo:] += partial[:, lo:]
     return sums
 
@@ -100,7 +95,8 @@ def dense_gradient(ds, sigma):
     in the operation order of the banded pass: rows and columns in class
     order, each class's mass summed over its own columns, and
     sum_j W[i, j] x_j taken by einsum against the transposed coordinates
-    under a row of ones, which gives sum_j W[i, j]. A row whose mass is
+    under a row of ones, which gives sum_j W[i, j], from sigma^2 W and
+    then divided by sigma^2. A row whose mass is
     below the smallest normal float64 takes its posterior and its own
     terms of W from its similarities divided by its nearest
     neighbour's."""
@@ -118,12 +114,9 @@ def dense_gradient(ds, sigma):
     num = banded_sums(
         n,
         k,
-        estimator._PIECE,
-        lambda lo, hi, start, stop: np.array(
-            [sims[lo:hi, max(a, start) : min(b, stop)].sum(axis=1) for a, b in slices]
-        ),
-        lambda lo, hi, first, stop: np.array(
-            [sims[max(a, lo) : min(b, hi), first:stop].sum(axis=0) for a, b in slices]
+        lambda lo, hi: np.array([sims[lo:hi, max(a, lo) : b].sum(axis=1) for a, b in slices]),
+        lambda lo, hi: np.array(
+            [sims[max(a, lo) : min(b, hi), hi:].sum(axis=0) for a, b in slices]
         ),
     )
     den = num.sum(axis=0)
@@ -137,24 +130,20 @@ def dense_gradient(ds, sigma):
     pstar = posteriors[np.arange(n), cstar]
     selected = (y[None, :] == cstar[:, None]).astype(np.float64)
     coeff = (selected - pstar[:, None]) / den[:, None]
-    weights = (coeff + coeff.T) * sims / (sigma * sigma)
+    weights = (coeff + coeff.T) * sims
     np.fill_diagonal(weights, 0.0)
     basis = np.ascontiguousarray(np.vstack([np.ones(n), x.T]))
     sums = banded_sums(
         n,
         d + 1,
-        estimator._PIECE // 2,
-        lambda lo, hi, start, stop: np.einsum(
-            "ij,kj->ki", weights[lo:hi, start:stop], basis[:, start:stop]
-        ),
-        lambda lo, hi, first, stop: np.einsum(
-            "ij,ki->kj", weights[lo:hi, first:stop], basis[:, lo:hi]
-        ),
+        lambda lo, hi: np.einsum("ij,kj->ki", weights[lo:hi, lo:], basis[:, lo:]),
+        lambda lo, hi: np.einsum("ij,ki->kj", weights[lo:hi, hi:], basis[:, lo:hi]),
     )
     for u in under:
-        terms = coeff[u] * shifted[u] / (sigma * sigma)
+        terms = coeff[u] * shifted[u]
         sums[:, u] += np.einsum("j,kj->k", terms, basis)
         sums += basis[:, u, None] * terms
+    sums /= sigma * sigma
     gradients, objectives = np.empty((n, d)), np.empty(n)
     gradients[order] = ((basis[1:] * sums[0] - sums[1:]) / n).T
     objectives[order] = pstar
@@ -172,9 +161,10 @@ def unused_classes_dataset(seed, n=120, d=3):
 def fsum_oracle(ds, sigma):
     """Posteriors and gradient of the formula with every sum over a row's
     pairs taken by math.fsum, the gradient in its form
-    sum_j W[i, j] (x_i - x_j) / n. Similarities and the entries of W are
-    the float64 values the streamed pass multiplies, so the oracle
-    differs from the pass only in how it sums."""
+    sum_j sigma^2 W[i, j] (x_i - x_j) / sigma^2 / n. Similarities and the
+    entries of sigma^2 W are the float64 values the streamed pass
+    multiplies, so the oracle differs from the pass only in how it sums
+    and where it divides."""
     n, k, x, y = ds.n, ds.num_classes, ds.points, ds.labels
     sims = np.exp(cdist(x, x, "sqeuclidean") / (-2.0 * sigma * sigma))
     np.fill_diagonal(sims, 0.0)
@@ -184,11 +174,11 @@ def fsum_oracle(ds, sigma):
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     coeff = ((y[None, :] == cstar[:, None]) - pstar[:, None]) / den[:, None]
-    weights = (coeff + coeff.T) * sims / (sigma * sigma)
+    weights = (coeff + coeff.T) * sims
     gradients = np.array(
         [[math.fsum(w * (x[i, m] - x[:, m])) for m in range(ds.d)] for i, w in enumerate(weights)]
     )
-    return posteriors, gradients / n
+    return posteriors, gradients / (sigma * sigma) / n
 
 
 def test_default_step_size():
@@ -280,8 +270,9 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
         for chunk in row_splits(120):
             monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
             assert len(estimator._row_spans(120)) >= 2
-            # three workers get groups of uneven length
-            for workers in (1, 2, 3):
+            # three workers get groups of uneven length, and 64 run one
+            # worker per span
+            for workers in (1, 2, 3, 64):
                 monkeypatch.setattr(estimator, "_WORKERS", workers)
                 for (ds, e), reference in zip(runs, references):
                     got = objective_and_gradient(ds, K1, embedding=e)
@@ -291,8 +282,8 @@ def test_gradient_threads_bitwise_identical(monkeypatch):
 
 def test_gradient_bits_do_not_follow_the_span_size_at_d1(monkeypatch):
     # at d=1 an einsum over more than 8192 columns sums in buffer-sized
-    # pieces, split by how many rows it takes; every einsum of the pass
-    # has the shape of a band's piece, which depends on n and the band
+    # blocks, split by how many rows it takes; every einsum of the pass
+    # has the shape of a band's strip, which depends on n and the band
     # alone. At n=9000 the default span and a chunk of n are one band
     # each, and 256-row spans hold four
     ds = random_dataset(20, n=9000, d=1, k=3)
@@ -327,16 +318,15 @@ def test_gradient_matches_dense_oracle(monkeypatch):
     points[[5, 30]] = [[60.0, 0.0], [-60.0, 0.0]]
     labels[[5, 30]] = [2, 0]
     cases.append(LabeledDataset(points, labels, 3))
-    # 16-row bands in pieces of 48 columns in pass A and 24 in pass B give
-    # every case several bands and most strips several pieces
-    for tile, piece in ((estimator._TILE, estimator._PIECE), (16, 48)):
+    # 16-row bands give every case several bands; at sigma = 0.7, sigma^2
+    # is no power of two, so dividing by it rounds
+    for tile in (estimator._TILE, 16):
         monkeypatch.setattr(estimator, "_TILE", tile)
-        monkeypatch.setattr(estimator, "_PIECE", piece)
-        for ds in cases:
-            objective, gradients = dense_gradient(ds, 1.0)
+        for ds, sigma in itertools.product(cases, (1.0, 0.7)):
+            objective, gradients = dense_gradient(ds, sigma)
             for chunk in (default,) + row_splits(ds.n):
                 monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-                report = objective_and_gradient(ds, K1)
+                report = objective_and_gradient(ds, SimilarityKernel(bandwidth=sigma))
                 assert report.objective == objective
                 np.testing.assert_array_equal(report.gradients, gradients)
 
@@ -355,8 +345,7 @@ def accuracy_dataset(seed, d, k, n=400):
 def test_pass_is_within_rounding_of_an_fsum_oracle():
     eps = np.finfo(np.float64).eps
     cases = [accuracy_dataset(seed, d, k) for seed, (d, k) in enumerate(ACCURACY_SHAPES)]
-    # at n=2000 a band's strip is up to two pieces in pass A and four in
-    # pass B, whose row sums add across pieces
+    # at n=2000 a band's strip runs over up to 2000 columns
     cases.append(accuracy_dataset(len(ACCURACY_SHAPES), 2, 2, n=2000))
     for ds in cases:
         kernel = SimilarityKernel(bandwidth=median_heuristic_bandwidth(ds))
@@ -410,20 +399,23 @@ def test_gradient_memory_is_linear():
     assert peak < n * n * 8 / 4
 
 
-def test_pass_memory_stays_linear_on_many_workers(monkeypatch):
+@pytest.mark.parametrize("workers", [16, 64])
+def test_pass_memory_stays_linear_on_many_workers(monkeypatch, workers):
     # each worker holds its own scratch, so a many-CPU machine must not
     # push either pass towards a dense array; at n=3000 there are 47
-    # one-band spans, enough for every worker
-    monkeypatch.setattr(estimator, "_WORKERS", 16)
+    # one-band spans, enough for 47 workers, and the scratch budget alone
+    # keeps them from all running
+    monkeypatch.setattr(estimator, "_WORKERS", workers)
     n = 3000
     ds = random_dataset(14, n=n, d=2, k=3)
-    tracemalloc.start()
-    try:
-        objective_and_gradient(ds, K1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8 / 4
+    for run in (estimate_posteriors, objective_and_gradient):
+        tracemalloc.start()
+        try:
+            run(ds, K1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 @pytest.mark.parametrize("norm, radius", [("linf", 8 / 255), ("l2", 0.5)])
@@ -769,8 +761,9 @@ def test_pga_threads_bitwise_identical(monkeypatch):
         for chunk in row_splits(80):
             monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
             assert len(estimator._row_spans(80)) >= 2
-            # three workers get groups of uneven length
-            for workers in (1, 2, 3):
+            # three workers get groups of uneven length, and 64 run one
+            # worker per span
+            for workers in (1, 2, 3, 64):
                 monkeypatch.setattr(estimator, "_WORKERS", workers)
                 for (ds, c, config, e), reference in zip(cases, references):
                     got = pga_maximize(ds, K1, c, config, embedding=e)
