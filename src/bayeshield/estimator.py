@@ -29,8 +29,7 @@ pass computes every pair once. It runs over bands of ``_TILE`` rows:
 band [lo, hi) computes its strip, its rows against columns lo:n, and
 the strip's row sums go to rows lo:hi and its column sums over the
 band's rows to rows hi:n. The runner adds the bands' sums in band
-order, so the bits follow the band width alone, not the span size or
-the worker count.
+order, so the bits follow the band width alone, not the worker count.
 """
 
 from __future__ import annotations
@@ -55,13 +54,13 @@ _TILE = 64
 # the worker count, so the cap changes no output.
 _SCRATCH = 1 << 19
 
-# Target element count per row span: spans of _CHUNK_ELEMENTS // n rows,
-# rounded down to whole bands and at least one, are dealt to the workers.
-# The band order alone fixes the sums, so no bit depends on the span size
-# or the worker count.
+# Entries of the n x n pairs per worker: a pass runs no more than
+# n * n // _CHUNK_ELEMENTS workers, so one with n <= 362 runs on the
+# calling thread alone; at n=300 a second worker made both passes
+# slower, at d=2 and at d=64, on 2 CPUs.
 _CHUNK_ELEMENTS = 65_536
 
-# Workers for the row spans: the CPUs this process may run on, so that
+# Workers for the bands: the CPUs this process may run on, so that
 # `taskset` restricts a run. The NumPy and SciPy calls inside a band
 # release the interpreter lock, so threads overlap their work.
 if hasattr(os, "sched_getaffinity"):
@@ -94,12 +93,7 @@ class BayesErrorEstimate:
         object.__setattr__(self, "per_sample_max_posterior", pmax)
 
 
-def _row_spans(n: int) -> list:
-    rows = max(1, _CHUNK_ELEMENTS // n // _TILE) * _TILE
-    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-
-
-def _run_row_spans(fill, sums: np.ndarray, arrays: int) -> None:
+def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     """Add every band's sums of a symmetric pairwise pass into ``sums``, a
     zeroed (width, n) float64 array whose column i belongs to row i.
 
@@ -120,25 +114,26 @@ def _run_row_spans(fill, sums: np.ndarray, arrays: int) -> None:
     A worker's scratch is ``(arrays * _TILE + width) * n`` doubles, so
     the pass runs as many workers as fit in an eighth of n * n doubles,
     or in ``_SCRATCH`` where that is larger, and at least one; never more
-    than ``_WORKERS`` or than there are spans. Spans of whole bands are
-    dealt to the workers: worker w takes the interleaved group
-    ``spans[w::workers]``. The calling thread allocates every worker's
-    scratch and ``partial`` once, so no band allocates and all of it
-    comes from the calling thread's heap: glibc may give a pool thread a
-    heap of its own, which keeps freed strips resident when one pass's
-    thread starts before the last one's has exited. The calling thread
-    is worker 0 and a per-pass pool runs the others, so a one-worker pass
-    starts no thread. A worker whose fill fails stops, and the others run
-    their remaining bands without adding them, so no worker waits on a
-    band that is never added. Every worker has finished before this
-    returns, or raises the error of the lowest-numbered worker that
-    failed.
+    than ``_WORKERS``, than there are bands, or than one per
+    ``_CHUNK_ELEMENTS`` entries of the n x n pairs. The bands are dealt
+    to the workers: worker w takes bands w, w + workers, w + 2 * workers
+    and so on. The calling thread allocates every worker's scratch and
+    ``partial`` once, so no band allocates and all of it comes from the
+    calling thread's heap: glibc may give a pool thread a heap of its
+    own, which keeps freed strips resident when one pass's thread starts
+    before the last one's has exited. The calling thread is worker 0 and
+    a per-pass pool runs the others, so a one-worker pass starts no
+    thread. A worker whose fill fails stops, and once one has, the
+    others return at their next band whose turn to be added has not
+    come, so no worker waits on a band that is never added. Every worker
+    has finished before this returns, or raises the error of the
+    lowest-numbered worker that failed.
     """
     width, n = sums.shape
-    spans = _row_spans(n)
     tile = min(_TILE, n)
-    per_worker = (arrays * tile + width) * n
-    workers = max(1, min(_WORKERS, len(spans), max(n * n // 8, _SCRATCH) // per_worker))
+    bands = -(-n // _TILE)
+    budget = max(n * n // 8, _SCRATCH) // ((arrays * tile + width) * n)
+    workers = max(1, min(_WORKERS, bands, n * n // _CHUNK_ELEMENTS, budget))
     turn = threading.Condition()
     added = 0  # sums holds every band that ends at or before this row
     failed = False
@@ -149,27 +144,27 @@ def _run_row_spans(fill, sums: np.ndarray, arrays: int) -> None:
         nonlocal added, failed
         partial = partials[w]
         try:
-            for span in spans[w::workers]:
-                for lo in range(*span, _TILE):
-                    hi = min(lo + _TILE, span[1])
-                    size = (hi - lo) * (n - lo)
-                    scratch = strips[w, : arrays * size].reshape(arrays, hi - lo, n - lo)
-                    partial[:, lo:] = 0.0
-                    fill((lo, hi), scratch, partial)
-                    with turn:
-                        turn.wait_for(lambda: added == lo or failed)
-                        if not failed:
-                            for total, part in zip(sums, partial):
-                                total[lo:] += part[lo:]
-                            added = hi
-                            turn.notify_all()
+            for lo in range(w * _TILE, n, workers * _TILE):
+                hi = min(lo + _TILE, n)
+                size = (hi - lo) * (n - lo)
+                scratch = strips[w, : arrays * size].reshape(arrays, hi - lo, n - lo)
+                partial[:, lo:] = 0.0
+                fill((lo, hi), scratch, partial)
+                with turn:
+                    turn.wait_for(lambda: added == lo or failed)
+                    if added != lo:
+                        return
+                    for total, part in zip(sums, partial):
+                        total[lo:] += part[lo:]
+                    added = hi
+                    turn.notify_all()
         except BaseException:
             with turn:
                 failed = True
                 turn.notify_all()
             raise
 
-    # the pool starts threads only on submit, so none for the caller's group
+    # the pool starts threads only on submit, so none for the caller's bands
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, w) for w in range(1, workers)]
         run(0)
@@ -271,7 +266,7 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
         for c, a, b in _class_slices(bounds, lo, hi):
             sims[a - lo : b - lo, hi - lo :].sum(axis=0, out=partial[c, hi:])
 
-    _run_row_spans(fill, num, arrays=1)
+    _run_bands(fill, num, arrays=1)
     den = num.sum(axis=0)
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
     underflow = underflow[np.argsort(order[underflow])]
@@ -344,7 +339,7 @@ def _objective_and_gradient(
         np.einsum("ij,kj->ki", weights, basis[:, lo:], out=partial[:, lo:hi])
         np.einsum("ij,ki->kj", weights[:, hi - lo :], basis[:, lo:hi], out=partial[:, hi:])
 
-    _run_row_spans(fill, sums, arrays=2)
+    _run_bands(fill, sums, arrays=2)
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, sigma^2 w_um = C[u, m] s(x_u, x_m), to W[u, m] and
     # W[m, u] from its shifted similarities

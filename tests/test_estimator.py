@@ -5,8 +5,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -14,7 +12,7 @@ from scipy.spatial.distance import pdist
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
 from bayeshield.estimator import (
-    _run_row_spans,
+    _run_bands,
     estimate_bayes_error,
     estimate_posteriors,
     median_heuristic_bandwidth,
@@ -164,7 +162,7 @@ def test_rigid_motion_invariance():
     assert abs(estimate_bayes_error(moved, kernel).value - base) <= 1e-9
 
 
-def test_threads_do_not_change_bits(monkeypatch):
+def test_threads_do_not_change_bits(monkeypatch, pools):
     rng = np.random.default_rng(10)
     kernel = SimilarityKernel(bandwidth=0.7)
     # at d=9 cdist's sequential sum differs from numpy's 8-wide one
@@ -179,50 +177,40 @@ def test_threads_do_not_change_bits(monkeypatch):
     labels = rng.choice([0, 2, 3], size=150, p=[0.6, 0.3, 0.1])
     cases.append(LabeledDataset(cases[1].points, labels, 5))
     cases.append(LabeledDataset(cases[0].points, np.zeros(150, dtype=int), 1))
-    # 8-row bands give the pass 19 of them, so three workers get groups
-    # of uneven length; the references are recomputed at each band width
-    default = estimator._CHUNK_ELEMENTS
+    # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
+    # so _WORKERS sets the count. 64-row bands give the pass three, fewer
+    # than 64 workers; 8-row bands give it 19, so three workers get groups
+    # of uneven length. The references are recomputed at each band width
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     for tile in (estimator._TILE, 8):
         monkeypatch.setattr(estimator, "_TILE", tile)
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", default)
         monkeypatch.setattr(estimator, "_WORKERS", 1)
         references = [
             (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
             for ds in cases
         ]
-        # spans of 30 rows, rounded down to whole bands, end in a short one;
-        # a chunk of 1 gives one-band spans, the finest split; 100-row spans
-        # make two, the last short, fewer than three workers
-        for chunk in (150 * 30, 1, 150 * 100):
-            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-            assert len(estimator._row_spans(150)) >= 2
-            for workers in (1, 2, 3, 64):
-                monkeypatch.setattr(estimator, "_WORKERS", workers)
-                for ds, (reference, value) in zip(cases, references):
-                    got = estimate_posteriors(ds, kernel)
-                    assert got.values.tobytes() == reference.tobytes()
-                    assert estimate_bayes_error(ds, kernel).value == value
+        for workers in (1, 2, 3, 64):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            pools.clear()
+            for ds, (reference, value) in zip(cases, references):
+                got = estimate_posteriors(ds, kernel)
+                assert got.values.tobytes() == reference.tobytes()
+                assert estimate_bayes_error(ds, kernel).value == value
+            assert min(pools) > 1 if workers > 1 else set(pools) == {1}
 
 
-def test_scratch_budget_sets_the_workers_without_changing_bits(monkeypatch):
-    # 4-row one-band spans give n=300 75 spans, and with no floor the
-    # budget is an eighth of n x n, 11250 doubles: room for 5 workers of
-    # pass A at (4 + 3) * 300 doubles each and 3 of pass B at
-    # (2 * 4 + 4) * 300, fewer than the 64 CPUs and the 75 spans
+def test_scratch_budget_sets_the_workers_without_changing_bits(monkeypatch, pools):
+    # 4-row bands give n=300 75 of them, and with no floor the budget is
+    # an eighth of n x n, 11250 doubles: room for 5 workers of pass A at
+    # (4 + 3) * 300 doubles each and 3 of pass B at (2 * 4 + 4) * 300,
+    # fewer than the 64 CPUs and the 75 bands
     monkeypatch.setattr(estimator, "_TILE", 4)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(estimator, "_WORKERS", 1)
     ds = random_dataset(np.random.default_rng(22), n=300, d=3, k=3)
     posteriors = estimate_posteriors(ds, K1).values.tobytes()
     gradients = objective_and_gradient(ds, K1).gradients.tobytes()
-    pools = []
-
-    class RecordedPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordedPool)
+    pools.clear()
     monkeypatch.setattr(estimator, "_WORKERS", 64)
     monkeypatch.setattr(estimator, "_SCRATCH", 0)
     assert estimate_posteriors(ds, K1).values.tobytes() == posteriors
@@ -230,7 +218,7 @@ def test_scratch_budget_sets_the_workers_without_changing_bits(monkeypatch):
     assert pools == [5, 5, 3]
 
 
-def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
+def test_small_pass_runs_on_the_calling_thread(monkeypatch, pools):
     threads = {}
     similarity_rows = estimator._similarity_rows
 
@@ -241,13 +229,23 @@ def test_single_span_pass_runs_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(estimator, "_similarity_rows", recorded)
     monkeypatch.setattr(estimator, "_WORKERS", 4)
     ds = random_dataset(np.random.default_rng(11), n=40, d=2, k=2)
-    assert len(estimator._row_spans(ds.n)) == 1
     estimate_posteriors(ds, K1)
     objective_and_gradient(ds, K1)
     # one fill for the estimate and two for the gradient's two passes
     assert threads == {0: [threading.current_thread()] * 3}
-    # in a pass of four one-band spans the calling thread fills the first
-    # and the pool the others
+    # one worker per 65536 of the n x n pairs: at n=300 one, though the
+    # pass has five bands, and at n=400 two, of seven bands, whatever the
+    # CPUs and the scratch budget would allow
+    monkeypatch.setattr(estimator, "_WORKERS", 64)
+    for n, workers in ((300, 1), (400, 2)):
+        pools.clear()
+        sample = random_dataset(np.random.default_rng(11), n=n, d=2, k=3)
+        estimate_posteriors(sample, K1)
+        objective_and_gradient(sample, K1)
+        assert pools == [workers] * 3
+    # in a pass of four bands on four workers the calling thread fills the
+    # first and the pool the others
+    monkeypatch.setattr(estimator, "_WORKERS", 4)
     monkeypatch.setattr(estimator, "_TILE", 10)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 40 * 10)
     threads.clear()
@@ -291,7 +289,7 @@ def test_package_import_leaves_scipy_spatial_to_the_first_pass():
     )
     got = json.loads(result.stdout)
     assert got["absent_on_import"] is True
-    # loaded once, on the calling thread, before the pool ran a span
+    # loaded once, on the calling thread, before any band ran
     assert got["importers"] == [True]
     ds = LabeledDataset(points, [0, 1] * 20, 2)
     assert got["value"] == estimate_bayes_error(ds, K1).value
@@ -299,26 +297,33 @@ def test_package_import_leaves_scipy_spatial_to_the_first_pass():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers):
-    # one-band spans of 10 rows
+    # six 10-row bands; worker 1 fails on band 10, so no band after it is
+    # ever added, and every other worker returns at the turn of its first
+    # band after it
     monkeypatch.setattr(estimator, "_TILE", 10)
-    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 60 * 10)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(estimator, "_WORKERS", workers)
-    spans = estimator._row_spans(60)
-    failing = spans[1]
-    done = []
+    threads = set()
+    filled = []
 
-    def fill(span, scratch, partial):
-        if span == failing:
+    def fill(band, scratch, partial):
+        lo, hi = band
+        threads.add(threading.current_thread())
+        if lo == 10:
             raise RuntimeError("fill failed")
-        # the caller's group 0 is quick, so a group 2 is still running
-        # when the caller collects the error of group 1
-        if span not in spans[0::workers]:
+        # with three workers band 20 is worker 2's, still running when the
+        # caller, done with its quick bands, collects the error of worker 1
+        if lo == 20:
             time.sleep(0.05)
-        done.append(span)
+        partial[0, lo:hi] = lo + 1
+        filled.append(lo)
 
+    sums = np.zeros((1, 60))
     with pytest.raises(RuntimeError, match="fill failed"):
-        _run_row_spans(fill, np.zeros((1, 60)), arrays=1)
-    assert sorted(done) == [span for span in spans if span not in spans[1::workers]]
+        _run_bands(fill, sums, arrays=1)
+    assert sorted(filled) == ([0, 20] if workers == 2 else [0, 20, 30])
+    assert not any(thread.is_alive() for thread in threads - {threading.current_thread()})
+    assert sums.tolist() == [[1.0] * 10 + [0.0] * 50]
 
 
 def run_with_timeout(call, seconds=30.0):
@@ -341,7 +346,7 @@ def run_with_timeout(call, seconds=30.0):
 
 @pytest.mark.parametrize("failing_pass", ["posteriors", "gradient"])
 def test_failing_band_ends_the_pass_with_its_error(monkeypatch, failing_pass):
-    # 19 one-band spans over three workers; the band at row 40 is worker
+    # 19 bands over three workers; the band at row 40 is worker
     # 2's second, and the bands after it wait on it in the ordered sums.
     # Each pass computes the band's strip in one call, so the band's
     # second strip is pass B's

@@ -64,14 +64,6 @@ def far_row_dataset(seed, n=20, d=2):
     return LabeledDataset(points, labels, 2)
 
 
-def row_splits(n):
-    """_CHUNK_ELEMENTS values that split an n-row pass into spans of 30
-    rows, rounded down to whole bands and ending in a short one, into
-    one-band spans, and into two spans, the last one short, which is
-    fewer spans than the 3 workers of the thread tests."""
-    return (n * 30, 1, n * (2 * n // 3))
-
-
 def banded_sums(n, width, rows, columns):
     """The (width, n) sums of a symmetric pairwise pass in the operation
     order of the banded runner. Band [lo, hi) takes its columns lo:n at
@@ -252,52 +244,49 @@ def test_gradient_reports_exact_ties():
     assert 2 in report.tied_rows
 
 
-def test_gradient_threads_bitwise_identical(monkeypatch):
+def test_gradient_threads_bitwise_identical(monkeypatch, pools):
     # at d=9 cdist's sequential sum differs from numpy's 8-wide one
     cases = [(random_dataset(6, n=120, d=d, k=3), tanh_embedding(d)) for d in (3, 9)]
     runs = [(ds, e) for ds, embedding in cases for e in (None, embedding)]
     runs.append((far_row_dataset(6, n=120, d=3), None))
     runs.append((unused_classes_dataset(6), None))
     runs.append((LabeledDataset(cases[0][0].points, np.zeros(120, dtype=int), 1), None))
-    # 8-row bands give the pass 15 of them; the references are recomputed
-    # at each band width
-    default = estimator._CHUNK_ELEMENTS
+    # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
+    # so _WORKERS sets the count. 64-row bands give the pass two, fewer
+    # than three workers; 8-row bands give it 15, so three workers get
+    # groups of uneven length and 64 run one worker per band. The
+    # references are recomputed at each band width
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     for tile in (estimator._TILE, 8):
         monkeypatch.setattr(estimator, "_TILE", tile)
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", default)
         monkeypatch.setattr(estimator, "_WORKERS", 1)
         references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
-        for chunk in row_splits(120):
-            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-            assert len(estimator._row_spans(120)) >= 2
-            # three workers get groups of uneven length, and 64 run one
-            # worker per span
-            for workers in (1, 2, 3, 64):
-                monkeypatch.setattr(estimator, "_WORKERS", workers)
-                for (ds, e), reference in zip(runs, references):
-                    got = objective_and_gradient(ds, K1, embedding=e)
-                    assert got.objective == reference.objective
-                    assert got.gradients.tobytes() == reference.gradients.tobytes()
+        for workers in (1, 2, 3, 64):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            pools.clear()
+            for (ds, e), reference in zip(runs, references):
+                got = objective_and_gradient(ds, K1, embedding=e)
+                assert got.objective == reference.objective
+                assert got.gradients.tobytes() == reference.gradients.tobytes()
+            assert min(pools) > 1 if workers > 1 else set(pools) == {1}
 
 
-def test_gradient_bits_do_not_follow_the_span_size_at_d1(monkeypatch):
+def test_gradient_bits_do_not_follow_the_worker_count_at_d1(monkeypatch, pools):
     # at d=1 an einsum over more than 8192 columns sums in buffer-sized
     # blocks, split by how many rows it takes; every einsum of the pass
     # has the shape of a band's strip, which depends on n and the band
-    # alone. At n=9000 the default span and a chunk of n are one band
-    # each, and 256-row spans hold four
+    # alone, not on the worker that computes it
     ds = random_dataset(20, n=9000, d=1, k=3)
     kernel = SimilarityKernel(bandwidth=0.5)
     monkeypatch.setattr(estimator, "_WORKERS", 1)
     reference = objective_and_gradient(ds, kernel).gradients.tobytes()
-    for chunk, workers in ((9000, 2), (9000 * 256, 1), (9000 * 256, 2)):
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-        monkeypatch.setattr(estimator, "_WORKERS", workers)
-        assert objective_and_gradient(ds, kernel).gradients.tobytes() == reference
+    monkeypatch.setattr(estimator, "_WORKERS", 2)
+    pools.clear()
+    assert objective_and_gradient(ds, kernel).gradients.tobytes() == reference
+    assert pools == [2, 2]
 
 
 def test_gradient_matches_dense_oracle(monkeypatch):
-    default = estimator._CHUNK_ELEMENTS
     cases = []
     # the 200-row sample holds four bands, so its rows add column sums of
     # earlier bands to their own
@@ -319,13 +308,15 @@ def test_gradient_matches_dense_oracle(monkeypatch):
     labels[[5, 30]] = [2, 0]
     cases.append(LabeledDataset(points, labels, 3))
     # 16-row bands give every case several bands; at sigma = 0.7, sigma^2
-    # is no power of two, so dividing by it rounds
+    # is no power of two, so dividing by it rounds. A chunk of 1 lets
+    # _WORKERS set the worker count
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     for tile in (estimator._TILE, 16):
         monkeypatch.setattr(estimator, "_TILE", tile)
         for ds, sigma in itertools.product(cases, (1.0, 0.7)):
             objective, gradients = dense_gradient(ds, sigma)
-            for chunk in (default,) + row_splits(ds.n):
-                monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(estimator, "_WORKERS", workers)
                 report = objective_and_gradient(ds, SimilarityKernel(bandwidth=sigma))
                 assert report.objective == objective
                 np.testing.assert_array_equal(report.gradients, gradients)
@@ -403,7 +394,7 @@ def test_gradient_memory_is_linear():
 def test_pass_memory_stays_linear_on_many_workers(monkeypatch, workers):
     # each worker holds its own scratch, so a many-CPU machine must not
     # push either pass towards a dense array; at n=3000 there are 47
-    # one-band spans, enough for 47 workers, and the scratch budget alone
+    # bands, enough for 47 workers, and the scratch budget alone
     # keeps them from all running
     monkeypatch.setattr(estimator, "_WORKERS", workers)
     n = 3000
@@ -737,7 +728,7 @@ def test_pga_deterministic_rerun():
     np.testing.assert_array_equal(a.trace, b.trace)
 
 
-def test_pga_threads_bitwise_identical(monkeypatch):
+def test_pga_threads_bitwise_identical(monkeypatch, pools):
     l2 = PerturbationConstraint(norm_order="l2", radius=0.3)
     linf = PerturbationConstraint(norm_order="linf", radius=0.3, frozen=tuple(range(0, 80, 4)))
     small, large = (PgaConfig(step_size=eta, max_iterations=3) for eta in (0.05, 100.0))
@@ -749,28 +740,27 @@ def test_pga_threads_bitwise_identical(monkeypatch):
         (random_dataset(11, n=80, d=2), linf, large, None),
         (random_dataset(12, n=80, d=2), l2, large, tanh_embedding(2)),
     ]
-    # 8-row bands give the pass 10 of them; the references are recomputed
-    # at each band width
-    default = estimator._CHUNK_ELEMENTS
+    # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
+    # so _WORKERS sets the count. 64-row bands give the pass two, fewer
+    # than three workers; 8-row bands give it 10, so three workers get
+    # groups of uneven length and 64 run one worker per band. The
+    # references are recomputed at each band width
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     for tile in (estimator._TILE, 8):
         monkeypatch.setattr(estimator, "_TILE", tile)
-        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", default)
         monkeypatch.setattr(estimator, "_WORKERS", 1)
         references = [pga_maximize(ds, K1, c, config, embedding=e) for ds, c, config, e in cases]
         assert references[3].halvings == (0, 0, 2)
-        for chunk in row_splits(80):
-            monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", chunk)
-            assert len(estimator._row_spans(80)) >= 2
-            # three workers get groups of uneven length, and 64 run one
-            # worker per span
-            for workers in (1, 2, 3, 64):
-                monkeypatch.setattr(estimator, "_WORKERS", workers)
-                for (ds, c, config, e), reference in zip(cases, references):
-                    got = pga_maximize(ds, K1, c, config, embedding=e)
-                    assert got.perturbed.points.tobytes() == reference.perturbed.points.tobytes()
-                    assert got.deltas.tobytes() == reference.deltas.tobytes()
-                    assert got.trace.tobytes() == reference.trace.tobytes()
-                    assert got.halvings == reference.halvings
+        for workers in (1, 2, 3, 64):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            pools.clear()
+            for (ds, c, config, e), reference in zip(cases, references):
+                got = pga_maximize(ds, K1, c, config, embedding=e)
+                assert got.perturbed.points.tobytes() == reference.perturbed.points.tobytes()
+                assert got.deltas.tobytes() == reference.deltas.tobytes()
+                assert got.trace.tobytes() == reference.trace.tobytes()
+                assert got.halvings == reference.halvings
+            assert min(pools) > 1 if workers > 1 else set(pools) == {1}
 
 
 def test_pga_rejects_all_frozen():
