@@ -30,6 +30,9 @@ band [lo, hi) computes its strip, its rows against columns lo:n, and
 the strip's row sums go to rows lo:hi and its column sums over the
 band's rows to rows hi:n. The runner adds the bands' sums in band
 order, so the bits follow the band width alone, not the worker count.
+When all of a gradient call's strips fit in ``_SCRATCH`` doubles, pass
+A keeps them and pass B weighs them in place rather than computing them
+again.
 """
 
 from __future__ import annotations
@@ -48,11 +51,14 @@ from .core import LabeledDataset, PosteriorMatrix, SimilarityKernel, _frozen_arr
 # every sum, and so the results' bits.
 _TILE = 64
 
-# Scratch budget of a pass in float64s (4 MiB): the runner caps its
+# Scratch budget of a pass in float64s (8 MiB): the runner caps its
 # workers so that their strips and partial sums stay within an eighth of
-# an n x n array, or within this where that is larger. No bit depends on
-# the worker count, so the cap changes no output.
-_SCRATCH = 1 << 19
+# an n x n array, or within this where that is larger. A gradient call
+# keeps pass A's strips for pass B when all of them fit in this too
+# (n <= 1416), and recomputes them otherwise. Neither rule changes a bit:
+# no bit depends on the worker count, and a kept strip holds the bits
+# pass B would compute again.
+_SCRATCH = 1 << 20
 
 # Entries of the n x n pairs per worker: a pass runs no more than
 # n * n // _CHUNK_ELEMENTS workers, so one with n <= 362 runs on the
@@ -100,28 +106,30 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     For each band [lo, hi) of ``_TILE`` rows the runner calls
     ``fill((lo, hi), scratch, partial)``. ``scratch`` holds ``arrays``
     (hi - lo, n - lo) arrays, room for the band's strip against columns
-    lo:n. The fill writes the strip's row sums to ``partial[:, lo:hi]``
-    and its column sums over the band's rows to ``partial[:, hi:]``,
-    where ``partial`` is a (width, n) array that is zero from column lo
-    on when the band starts. Once every earlier band is in ``sums`` the
-    runner adds ``partial[:, lo:]`` to ``sums[:, lo:]``. So each column
-    of ``sums`` adds the earlier bands' column sums in band order, then
-    its own band's row sums, whichever worker computed them. The arrays
-    handed to a fill are C-contiguous, and the runner adds one contiguous
-    row at a time, as numpy buffers an addition over strided 2-d views
-    in up to 192 kB per call.
+    lo:n; ``arrays`` is 0 for a fill that writes its strip to a kept
+    buffer of the caller's. The fill writes the strip's row sums to
+    ``partial[:, lo:hi]`` and its column sums over the band's rows to
+    ``partial[:, hi:]``, where ``partial`` is a (width, n) array that is
+    zero from column lo on when the band starts. Once every earlier band
+    is in ``sums`` the runner adds ``partial[:, lo:]`` to
+    ``sums[:, lo:]``. So each column of ``sums`` adds the earlier bands'
+    column sums in band order, then its own band's row sums, whichever
+    worker computed them. The arrays handed to a fill are C-contiguous,
+    and the runner adds one contiguous row at a time, as numpy buffers an
+    addition over strided 2-d views in up to 192 kB per call.
 
     A worker's scratch is ``(arrays * _TILE + width) * n`` doubles, so
     the pass runs as many workers as fit in an eighth of n * n doubles,
-    or in ``_SCRATCH`` where that is larger, and at least one; never more
-    than ``_WORKERS``, than there are bands, or than one per
+    or in ``_SCRATCH`` where that is larger, and at least one, beside any
+    kept buffer, which has a ``_SCRATCH`` of its own; never more than
+    ``_WORKERS``, than there are bands, or than one per
     ``_CHUNK_ELEMENTS`` entries of the n x n pairs. The bands are dealt
     to the workers: worker w takes bands w, w + workers, w + 2 * workers
     and so on. The calling thread allocates every worker's scratch and
-    ``partial`` once, so no band allocates and all of it comes from the
-    calling thread's heap: glibc may give a pool thread a heap of its
-    own, which keeps freed strips resident when one pass's thread starts
-    before the last one's has exited. The calling thread is worker 0 and
+    ``partial`` once, so no band allocates an array and all of them come
+    from the calling thread's heap: glibc may give a pool thread a heap
+    of its own, which keeps freed strips resident when one pass's thread
+    starts before the last one's has exited. The calling thread is worker 0 and
     a per-pass pool runs the others, so a one-worker pass starts no
     thread. A worker whose fill fails stops, and once one has, the
     others return at their next band whose turn to be added has not
@@ -233,17 +241,24 @@ def _similarity_rows(
     return block
 
 
-def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float) -> tuple:
+def _posterior_pass(
+    coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: float, keep: bool = False
+) -> tuple:
     """Leave-one-out posteriors of ``coords`` and the sums behind them,
     computed in class order.
 
-    Returns ``(order, points, den, underflow, posteriors)``: the stable
-    argsort of the labels, the coordinates in that order, each row's
-    similarity mass, the rows whose mass is zero or subnormal, listed in
-    input order, and the (n, k) posteriors; ``den`` and ``posteriors``
-    are in class order. Each row in ``underflow`` is summed again from
-    its whole row of shifted similarities, so its ``den`` is the shifted
-    mass.
+    Returns ``(order, points, den, underflow, posteriors, strips)``: the
+    stable argsort of the labels, the coordinates in that order, each
+    row's similarity mass, the rows whose mass is zero or subnormal,
+    listed in input order, the (n, k) posteriors, and the kept strips or
+    None; ``den`` and ``posteriors`` are in class order. Each row in
+    ``underflow`` is summed again from its whole row of shifted
+    similarities, so its ``den`` is the shifted mass.
+    With ``keep``, and when every band's strip fits in ``_SCRATCH``
+    doubles together, each band writes its strip to its own view of one
+    buffer and takes no scratch of its own; ``strips[lo // _TILE]`` is
+    then band [lo, hi)'s strip against columns lo:n, its own columns
+    zero. Otherwise no strip is kept.
     The estimator and the gradient both read this one streamed pass, so
     the objective of the gradient is bit-equal to the estimate.
     """
@@ -257,16 +272,24 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
     n = points.shape[0]
     # num[c, i]: row i's similarity mass in class c
     num = np.zeros((k, n))
+    # a band's strip is its rows against columns lo:n
+    bands = range(0, n, _TILE)
+    sizes = [(min(lo + _TILE, n) - lo) * (n - lo) for lo in bands]
+    strips = None
+    if keep and sum(sizes) <= _SCRATCH:
+        kept = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        strips = [strip.reshape(-1, n - lo) for strip, lo in zip(kept, bands)]
 
     def fill(band, scratch, partial) -> None:
         lo, hi = band
-        sims = _similarity_rows(points, lo, hi, bandwidth, out=scratch[0], start=lo)
+        out = scratch[0] if strips is None else strips[lo // _TILE]
+        sims = _similarity_rows(points, lo, hi, bandwidth, out=out, start=lo)
         for c, a, b in _class_slices(bounds, lo, n):
             sims[:, a - lo : b - lo].sum(axis=1, out=partial[c, lo:hi])
         for c, a, b in _class_slices(bounds, lo, hi):
             sims[a - lo : b - lo, hi - lo :].sum(axis=0, out=partial[c, hi:])
 
-    _run_bands(fill, num, arrays=1)
+    _run_bands(fill, num, arrays=1 if strips is None else 0)
     den = num.sum(axis=0)
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
     underflow = underflow[np.argsort(order[underflow])]
@@ -279,7 +302,7 @@ def _posterior_pass(coords: np.ndarray, labels: np.ndarray, k: int, bandwidth: f
         for c, a, b in _class_slices(bounds, 0, n):
             num[c, u] = sims[0, a:b].sum()
         den[u] = num[:, u].sum()
-    return order, points, den, underflow, np.ascontiguousarray((num / den).T)
+    return order, points, den, underflow, np.ascontiguousarray((num / den).T), strips
 
 
 def _objective_and_gradient(
@@ -292,12 +315,19 @@ def _objective_and_gradient(
     ``floor``, and otherwise ``(objective, (tied rows, gradients))`` in
     input order; the formula is on ``perturb.objective_and_gradient``.
     The gradient takes a second streamed pass, pass B, which builds each
-    band's strip of sigma^2 W from an (n, k) coefficient table, and
-    divides the sums by sigma^2 once at the end. W is symmetric, so a
-    band's strip gives its rows' sums and, over its rows, the sums of the
-    rows after it.
+    band's strip of sigma^2 W from an (n, k) coefficient table and the
+    band's similarities, and divides the sums by sigma^2 once at the end.
+    W is symmetric, so a band's strip gives its rows' sums and, over its
+    rows, the sums of the rows after it. Pass A keeps its strips when they
+    fit in ``_SCRATCH``, and pass B then multiplies each band's
+    coefficients into its kept strip, so the call computes each pair's
+    similarity once; otherwise pass B computes the strips again, with the
+    same bits. A call whose objective falls below ``floor`` drops the kept
+    strips unused.
     """
-    order, points, den, underflow, posteriors = _posterior_pass(coords, labels, k, bandwidth)
+    order, points, den, underflow, posteriors, strips = _posterior_pass(
+        coords, labels, k, bandwidth, keep=True
+    )
     n, d = points.shape
     # argmax returns the first maximal column, i.e. the lowest class index
     cstar = posteriors.argmax(axis=1)
@@ -324,22 +354,32 @@ def _objective_and_gradient(
 
     def fill(band, scratch, partial) -> None:
         lo, hi = band
-        weights, sims = scratch
+        coefficients = scratch[0]
         # C[i, j] = table[i, y_j] is one column of table per class of
         # columns, and C[j, i] = table[j, y_i] one row of table_t per class
-        # of rows; a broadcast copy, unlike a broadcast add, takes no numpy
-        # buffer
+        # of rows. A broadcast copy takes no numpy buffer and a broadcast
+        # add one of 64 kB; beside a kept strip, with no second array, C^T
+        # is added in place, which at n=1000, d=64 took 4-10% less time
+        # than adding it a row at a time
         for c, a, b in _class_slices(bounds, lo, n):
-            weights[:, a - lo : b - lo] = table[lo:hi, c, None]
-        for c, a, b in _class_slices(bounds, lo, hi):
-            sims[a - lo : b - lo] = table_t[c, lo:]
-        weights += sims
-        weights *= _similarity_rows(points, lo, hi, bandwidth, out=sims, start=lo)
+            coefficients[:, a - lo : b - lo] = table[lo:hi, c, None]
+        if strips is None:
+            weights = scratch[1]
+            for c, a, b in _class_slices(bounds, lo, hi):
+                weights[a - lo : b - lo] = table_t[c, lo:]
+            coefficients += weights
+            _similarity_rows(points, lo, hi, bandwidth, out=weights, start=lo)
+        else:
+            for c, a, b in _class_slices(bounds, lo, hi):
+                coefficients[a - lo : b - lo] += table_t[c, lo:]
+            weights = strips[lo // _TILE]
+        # S (C + C^T), in pass A's strip where it was kept
+        weights *= coefficients
         np.fill_diagonal(weights, 0.0)
         np.einsum("ij,kj->ki", weights, basis[:, lo:], out=partial[:, lo:hi])
         np.einsum("ij,ki->kj", weights[:, hi - lo :], basis[:, lo:hi], out=partial[:, hi:])
 
-    _run_bands(fill, sums, arrays=2)
+    _run_bands(fill, sums, arrays=2 if strips is None else 1)
     # an underflowing row u streamed its own terms below float64's normal
     # range; add them, sigma^2 w_um = C[u, m] s(x_u, x_m), to W[u, m] and
     # W[m, u] from its shifted similarities
@@ -368,7 +408,7 @@ def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> Poste
     As the bandwidth goes to zero, row i tends to the one-hot label of
     its nearest neighbour.
     """
-    order, _, _, _, values = _posterior_pass(
+    order, _, _, _, values, _ = _posterior_pass(
         data.points, data.labels, data.num_classes, kernel.bandwidth
     )
     return PosteriorMatrix(_input_order(order, values))

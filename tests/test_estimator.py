@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import math
 import subprocess
@@ -180,23 +182,34 @@ def test_threads_do_not_change_bits(monkeypatch, pools):
     # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
     # so _WORKERS sets the count. 64-row bands give the pass three, fewer
     # than 64 workers; 8-row bands give it 19, so three workers get groups
-    # of uneven length. The references are recomputed at each band width
+    # of uneven length. The references are recomputed at each band width.
+    # The gradient's pass A keeps its strips, and under a scratch budget of
+    # 0 it keeps none
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 8):
         monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_SCRATCH", scratch)
         monkeypatch.setattr(estimator, "_WORKERS", 1)
         references = [
             (estimate_posteriors(ds, kernel).values, estimate_bayes_error(ds, kernel).value)
             for ds in cases
         ]
-        for workers in (1, 2, 3, 64):
+        for budget, workers in itertools.product((scratch, 0), (1, 2, 3, 64)):
+            monkeypatch.setattr(estimator, "_SCRATCH", budget)
             monkeypatch.setattr(estimator, "_WORKERS", workers)
             pools.clear()
             for ds, (reference, value) in zip(cases, references):
                 got = estimate_posteriors(ds, kernel)
                 assert got.values.tobytes() == reference.tobytes()
                 assert estimate_bayes_error(ds, kernel).value == value
-            assert min(pools) > 1 if workers > 1 else set(pools) == {1}
+                assert objective_and_gradient(ds, kernel).objective == value
+            if budget:
+                assert min(pools) > 1 if workers > 1 else set(pools) == {1}
+            else:
+                # an eighth of 150 x 150 doubles holds no more than two
+                # workers' scratch
+                assert max(pools) <= min(workers, 2)
 
 
 def test_scratch_budget_sets_the_workers_without_changing_bits(monkeypatch, pools):
@@ -218,6 +231,31 @@ def test_scratch_budget_sets_the_workers_without_changing_bits(monkeypatch, pool
     assert pools == [5, 5, 3]
 
 
+@pytest.mark.parametrize(
+    "n, budget, strips",
+    [(150, None, 1), (1416, None, 1), (1417, None, 2), (150, 0, 2)],
+    ids=["kept", "largest-kept", "recomputed", "no-budget"],
+)
+def test_gradient_computes_each_strip_once_when_kept(monkeypatch, n, budget, strips):
+    # pass A keeps its strips when all of them fit in _SCRATCH doubles, in
+    # 64-row bands up to n=1416, and pass B then weighs them in place;
+    # otherwise pass B computes each strip again
+    calls = collections.Counter()
+    similarity_rows = estimator._similarity_rows
+
+    def counted(points, lo, hi, *args, **kwargs):
+        calls[lo, hi] += 1
+        return similarity_rows(points, lo, hi, *args, **kwargs)
+
+    if budget is not None:
+        monkeypatch.setattr(estimator, "_SCRATCH", budget)
+    monkeypatch.setattr(estimator, "_similarity_rows", counted)
+    ds = random_dataset(np.random.default_rng(23), n=n, d=2, k=3)
+    objective_and_gradient(ds, K1)
+    tile = estimator._TILE
+    assert calls == {(lo, min(lo + tile, n)): strips for lo in range(0, n, tile)}
+
+
 def test_small_pass_runs_on_the_calling_thread(monkeypatch, pools):
     threads = {}
     similarity_rows = estimator._similarity_rows
@@ -231,8 +269,9 @@ def test_small_pass_runs_on_the_calling_thread(monkeypatch, pools):
     ds = random_dataset(np.random.default_rng(11), n=40, d=2, k=2)
     estimate_posteriors(ds, K1)
     objective_and_gradient(ds, K1)
-    # one fill for the estimate and two for the gradient's two passes
-    assert threads == {0: [threading.current_thread()] * 3}
+    # one fill for the estimate and one for the gradient, whose pass B
+    # weighs pass A's kept strip
+    assert threads == {0: [threading.current_thread()] * 2}
     # one worker per 65536 of the n x n pairs: at n=300 one, though the
     # pass has five bands, and at n=400 two, of seven bands, whatever the
     # CPUs and the scratch budget would allow
@@ -344,26 +383,40 @@ def run_with_timeout(call, seconds=30.0):
     return outcome
 
 
-@pytest.mark.parametrize("failing_pass", ["posteriors", "gradient"])
-def test_failing_band_ends_the_pass_with_its_error(monkeypatch, failing_pass):
+@pytest.mark.parametrize(
+    "failing_pass, hooked, failing_call",
+    [
+        ("posteriors", "_similarity_rows", 1),
+        ("gradient", "_similarity_rows", 2),
+        ("kept", "_class_slices", 3),
+    ],
+    ids=["posteriors", "gradient", "kept"],
+)
+def test_failing_band_ends_the_pass_with_its_error(
+    monkeypatch, failing_pass, hooked, failing_call
+):
     # 19 bands over three workers; the band at row 40 is worker
     # 2's second, and the bands after it wait on it in the ordered sums.
-    # Each pass computes the band's strip in one call, so the band's
-    # second strip is pass B's
+    # Pass A computes the band's strip in one call and keeps it. Under a
+    # scratch budget of 0 it keeps none, and pass B computes the strip
+    # again, so the band's second strip is pass B's; pass B on a kept
+    # strip starts at the band's third class split
     monkeypatch.setattr(estimator, "_TILE", 8)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(estimator, "_WORKERS", 3)
-    similarity_rows = estimator._similarity_rows
-    strips = []
+    if failing_pass == "gradient":
+        monkeypatch.setattr(estimator, "_SCRATCH", 0)
+    original = getattr(estimator, hooked)
+    calls = []
 
-    def failing(points, lo, *args, **kwargs):
+    def failing(first, lo, *args, **kwargs):
         if lo == 40:
-            strips.append(lo)
-            if len(strips) == (1 if failing_pass == "posteriors" else 2):
+            calls.append(lo)
+            if len(calls) == failing_call:
                 raise RuntimeError("band 40 failed")
-        return similarity_rows(points, lo, *args, **kwargs)
+        return original(first, lo, *args, **kwargs)
 
-    monkeypatch.setattr(estimator, "_similarity_rows", failing)
+    monkeypatch.setattr(estimator, hooked, failing)
     ds = random_dataset(np.random.default_rng(18), n=150, d=2, k=3)
     outcome = run_with_timeout(lambda: objective_and_gradient(ds, K1))
     assert str(outcome["error"]) == "band 40 failed"

@@ -213,10 +213,11 @@ def test_gradient_floor_skips_pass_b_below_it(monkeypatch, embedded):
     kept = objective_and_gradient(ds, K1, embedding=embedding, floor=full.objective)
     assert kept.objective == full.objective
     assert kept.gradients.tobytes() == full.gradients.tobytes()
-    assert calls == {"posterior": 1, "gradient": 1}
+    assert calls == {"posterior": 1, "kept": 1, "gradient": 1}
+    # the candidate below the floor drops its kept strips unused
     above = np.nextafter(full.objective, 1.0)
     assert objective_and_gradient(ds, K1, embedding=embedding, floor=above) is None
-    assert calls == {"posterior": 2, "gradient": 1}
+    assert calls == {"posterior": 2, "kept": 2, "gradient": 1}
 
 
 def test_gradient_matches_finite_differences_three_point():
@@ -255,20 +256,28 @@ def test_gradient_threads_bitwise_identical(monkeypatch, pools):
     # so _WORKERS sets the count. 64-row bands give the pass two, fewer
     # than three workers; 8-row bands give it 15, so three workers get
     # groups of uneven length and 64 run one worker per band. The
-    # references are recomputed at each band width
+    # references are recomputed at each band width. Pass B weighs pass A's
+    # kept strips, and under a scratch budget of 0 computes them again
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 8):
         monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_SCRATCH", scratch)
         monkeypatch.setattr(estimator, "_WORKERS", 1)
         references = [objective_and_gradient(ds, K1, embedding=e) for ds, e in runs]
-        for workers in (1, 2, 3, 64):
+        for budget, workers in itertools.product((scratch, 0), (1, 2, 3, 64)):
+            monkeypatch.setattr(estimator, "_SCRATCH", budget)
             monkeypatch.setattr(estimator, "_WORKERS", workers)
             pools.clear()
             for (ds, e), reference in zip(runs, references):
                 got = objective_and_gradient(ds, K1, embedding=e)
                 assert got.objective == reference.objective
                 assert got.gradients.tobytes() == reference.gradients.tobytes()
-            assert min(pools) > 1 if workers > 1 else set(pools) == {1}
+            if budget:
+                assert min(pools) > 1 if workers > 1 else set(pools) == {1}
+            else:
+                # an eighth of n x n doubles holds no worker's scratch here
+                assert set(pools) == {1}
 
 
 def test_gradient_bits_do_not_follow_the_worker_count_at_d1(monkeypatch, pools):
@@ -309,17 +318,23 @@ def test_gradient_matches_dense_oracle(monkeypatch):
     cases.append(LabeledDataset(points, labels, 3))
     # 16-row bands give every case several bands; at sigma = 0.7, sigma^2
     # is no power of two, so dividing by it rounds. A chunk of 1 lets
-    # _WORKERS set the worker count
+    # _WORKERS set the worker count. Pass B weighs pass A's kept strips,
+    # and under a scratch budget of 0 computes them again
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 16):
         monkeypatch.setattr(estimator, "_TILE", tile)
         for ds, sigma in itertools.product(cases, (1.0, 0.7)):
             objective, gradients = dense_gradient(ds, sigma)
-            for workers in (1, 2, 3):
+            bits = set()
+            for budget, workers in itertools.product((scratch, 0), (1, 2, 3)):
+                monkeypatch.setattr(estimator, "_SCRATCH", budget)
                 monkeypatch.setattr(estimator, "_WORKERS", workers)
                 report = objective_and_gradient(ds, SimilarityKernel(bandwidth=sigma))
                 assert report.objective == objective
                 np.testing.assert_array_equal(report.gradients, gradients)
+                bits.add(report.gradients.tobytes())
+            assert len(bits) == 1
 
 
 # (d, K) of the accuracy instances, d from 2 to 64 and K from 2 to 10
@@ -390,23 +405,34 @@ def test_gradient_memory_is_linear():
     assert peak < n * n * 8 / 4
 
 
-@pytest.mark.parametrize("workers", [16, 64])
-def test_pass_memory_stays_linear_on_many_workers(monkeypatch, workers):
+@pytest.mark.parametrize(
+    "workers, n",
+    [(16, 3000), (64, 3000), (16, 1416), (64, 1416)],
+    ids=["16", "64", "16-kept", "64-kept"],
+)
+def test_pass_memory_stays_linear_on_many_workers(monkeypatch, workers, n):
     # each worker holds its own scratch, so a many-CPU machine must not
     # push either pass towards a dense array; at n=3000 there are 47
-    # bands, enough for 47 workers, and the scratch budget alone
-    # keeps them from all running
+    # bands, enough for 47 workers, and the scratch budget alone keeps
+    # them from all running. n=1416 is the largest n whose strips fit in
+    # _SCRATCH doubles, so its gradient keeps pass A's strips through
+    # pass B; n=3000 keeps none. The workers' scratch stays within an
+    # eighth of n x n doubles or _SCRATCH, whichever is larger, and the
+    # kept strips within _SCRATCH; besides them a pass holds O(n (d + K))
+    # arrays and numpy's buffers of 64 kB a worker
     monkeypatch.setattr(estimator, "_WORKERS", workers)
-    n = 3000
-    ds = random_dataset(14, n=n, d=2, k=3)
-    for run in (estimate_posteriors, objective_and_gradient):
+    d, k = 2, 3
+    ds = random_dataset(14, n=n, d=d, k=k)
+    scratch = max(n * n // 8, estimator._SCRATCH)
+    kept = estimator._SCRATCH if n <= 1416 else 0
+    for run, strips in ((estimate_posteriors, 0), (objective_and_gradient, kept)):
         tracemalloc.start()
         try:
             run(ds, K1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8 / 4
+        assert peak < 8 * (strips + scratch + 32 * n * (d + k))
 
 
 @pytest.mark.parametrize("norm, radius", [("linf", 8 / 255), ("l2", 0.5)])
@@ -567,16 +593,18 @@ def assert_ascends(trace):
 
 
 def count_passes(monkeypatch):
-    """Count the posterior passes (pass A, which scores a sample) and the
-    gradient's second passes (pass B, a call that returns a gradient) of
-    PGA runs."""
-    calls = {"posterior": 0, "gradient": 0}
+    """Count the posterior passes (pass A, which scores a sample), those
+    of them that kept their strips for a pass B, and the gradient's second
+    passes (pass B, a call that returns a gradient) of PGA runs."""
+    calls = {"posterior": 0, "kept": 0, "gradient": 0}
     posterior_pass = estimator._posterior_pass
     objective_and_gradient = perturb._objective_and_gradient
 
-    def counted_posterior(*args):
+    def counted_posterior(*args, **kwargs):
+        out = posterior_pass(*args, **kwargs)
         calls["posterior"] += 1
-        return posterior_pass(*args)
+        calls["kept"] += out[-1] is not None
+        return out
 
     def counted_gradient(*args):
         out = objective_and_gradient(*args)
@@ -598,8 +626,10 @@ def test_pga_huge_step_halves_and_ascends(monkeypatch):
     assert len(result.halvings) == 12
     assert 0 < max(result.halvings) <= MAX_HALVINGS
     # every candidate is scored by one posterior pass, and pass B runs for
-    # the start and for each kept step but the last
+    # the start and for each kept step but the last. Every pass A keeps its
+    # strips but those of the last step's candidates, scored by the estimator
     assert calls["posterior"] == 1 + sum(h + 1 for h in result.halvings)
+    assert calls["kept"] == calls["posterior"] - (result.halvings[-1] + 1)
     assert calls["gradient"] == 1 + 11
 
 
@@ -646,7 +676,11 @@ def test_pga_stalled_step_keeps_deltas(monkeypatch, iterations):
     calls = count_passes(monkeypatch)
     # every halving of this step still saturates the budget and lowers the estimate
     result = pga_maximize(ds, K1, c, PgaConfig(step_size=1e300, max_iterations=iterations))
-    assert calls == {"posterior": 1 + MAX_HALVINGS + 1, "gradient": 1}
+    # the start's pass A keeps its strips, and so do the rejected
+    # candidates' unless the estimator scores them, at the last step
+    rejected = MAX_HALVINGS + 1
+    kept = 1 + (rejected if iterations > 1 else 0)
+    assert calls == {"posterior": 1 + rejected, "kept": kept, "gradient": 1}
     np.testing.assert_array_equal(result.deltas, np.zeros((12, 2)))
     np.testing.assert_array_equal(result.perturbed.points, ds.points)
     assert np.all(result.trace == estimate_bayes_error(ds, K1).value)
@@ -660,7 +694,7 @@ def test_pga_without_halvings_makes_one_pass_per_step(monkeypatch):
     calls = count_passes(monkeypatch)
     result = pga_maximize(ds, K1, c, PgaConfig(step_size=0.005, max_iterations=15))
     assert result.halvings == (0,) * 15
-    assert calls == {"posterior": 16, "gradient": 15}
+    assert calls == {"posterior": 16, "kept": 15, "gradient": 15}
 
 
 @pytest.mark.parametrize("embedded", [False, True], ids=["plain", "embedded"])
@@ -744,14 +778,18 @@ def test_pga_threads_bitwise_identical(monkeypatch, pools):
     # so _WORKERS sets the count. 64-row bands give the pass two, fewer
     # than three workers; 8-row bands give it 10, so three workers get
     # groups of uneven length and 64 run one worker per band. The
-    # references are recomputed at each band width
+    # references are recomputed at each band width. Pass B weighs pass A's
+    # kept strips, and under a scratch budget of 0 computes them again
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
+    scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 8):
         monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_SCRATCH", scratch)
         monkeypatch.setattr(estimator, "_WORKERS", 1)
         references = [pga_maximize(ds, K1, c, config, embedding=e) for ds, c, config, e in cases]
         assert references[3].halvings == (0, 0, 2)
-        for workers in (1, 2, 3, 64):
+        for budget, workers in itertools.product((scratch, 0), (1, 2, 3, 64)):
+            monkeypatch.setattr(estimator, "_SCRATCH", budget)
             monkeypatch.setattr(estimator, "_WORKERS", workers)
             pools.clear()
             for (ds, c, config, e), reference in zip(cases, references):
@@ -760,7 +798,11 @@ def test_pga_threads_bitwise_identical(monkeypatch, pools):
                 assert got.deltas.tobytes() == reference.deltas.tobytes()
                 assert got.trace.tobytes() == reference.trace.tobytes()
                 assert got.halvings == reference.halvings
-            assert min(pools) > 1 if workers > 1 else set(pools) == {1}
+            if budget:
+                assert min(pools) > 1 if workers > 1 else set(pools) == {1}
+            else:
+                # an eighth of n x n doubles holds no worker's scratch here
+                assert set(pools) == {1}
 
 
 def test_pga_rejects_all_frozen():
