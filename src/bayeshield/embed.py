@@ -111,14 +111,19 @@ def _forward(mapping: EmbeddingMap, points: np.ndarray) -> list:
     return outputs
 
 
-def embed_points(mapping: EmbeddingMap, points) -> np.ndarray:
-    """Forward-evaluate the map on an (n, input_dim) batch."""
+def _batch(mapping: EmbeddingMap, points) -> np.ndarray:
+    """``points`` as an (n, input_dim) float64 array."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != mapping.input_dim:
         raise ValueError(
             f"points shape {pts.shape} does not match input_dim {mapping.input_dim}"
         )
-    return _forward(mapping, pts)[-1]
+    return pts
+
+
+def embed_points(mapping: EmbeddingMap, points) -> np.ndarray:
+    """Forward-evaluate the map on an (n, input_dim) batch."""
+    return _forward(mapping, _batch(mapping, points))[-1]
 
 
 def embed_dataset(mapping: EmbeddingMap, data: LabeledDataset) -> LabeledDataset:
@@ -132,12 +137,8 @@ def pullback_gradients(mapping: EmbeddingMap, points, grads_emb) -> np.ndarray:
     Row i of the result is J(x_i)^T g_i, with J the Jacobian of the map
     at x_i, accumulated in reverse layer order.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _batch(mapping, points)
     grads = np.asarray(grads_emb, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != mapping.input_dim:
-        raise ValueError(
-            f"points shape {pts.shape} does not match input_dim {mapping.input_dim}"
-        )
     if grads.shape != (pts.shape[0], mapping.output_dim):
         raise ValueError(
             f"gradient shape {grads.shape} does not match "

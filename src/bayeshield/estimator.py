@@ -355,23 +355,17 @@ def _objective_and_gradient(
     def fill(band, scratch, partial) -> None:
         lo, hi = band
         coefficients = scratch[0]
-        # C[i, j] = table[i, y_j] is one column of table per class of
-        # columns, and C[j, i] = table[j, y_i] one row of table_t per class
-        # of rows. A broadcast copy takes no numpy buffer and a broadcast
-        # add one of 64 kB; beside a kept strip, with no second array, C^T
-        # is added in place, which at n=1000, d=64 took 4-10% less time
-        # than adding it a row at a time
+        # C + C^T in one array: C[i, j] = table[i, y_j] is a broadcast copy
+        # of one column of table per class of columns, and C[j, i] =
+        # table[j, y_i] a broadcast add of one row of table_t per class of
+        # rows, in place, so the band needs no second array for C^T
         for c, a, b in _class_slices(bounds, lo, n):
             coefficients[:, a - lo : b - lo] = table[lo:hi, c, None]
+        for c, a, b in _class_slices(bounds, lo, hi):
+            coefficients[a - lo : b - lo] += table_t[c, lo:]
         if strips is None:
-            weights = scratch[1]
-            for c, a, b in _class_slices(bounds, lo, hi):
-                weights[a - lo : b - lo] = table_t[c, lo:]
-            coefficients += weights
-            _similarity_rows(points, lo, hi, bandwidth, out=weights, start=lo)
+            weights = _similarity_rows(points, lo, hi, bandwidth, out=scratch[1], start=lo)
         else:
-            for c, a, b in _class_slices(bounds, lo, hi):
-                coefficients[a - lo : b - lo] += table_t[c, lo:]
             weights = strips[lo // _TILE]
         # S (C + C^T), in pass A's strip where it was kept
         weights *= coefficients

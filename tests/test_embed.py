@@ -307,9 +307,10 @@ BALL = PerturbationConstraint(norm_order="l2", radius=0.3)
         lambda ds, m, tmp: finite_difference_gradient(ds, K1, embedding=m),
         lambda ds, m, tmp: embed_dataset(m, ds),
         lambda ds, m, tmp: _perturb_cli_exit(ds, m, tmp),
+        lambda ds, m, tmp: pullback_gradients(m, ds.points, np.zeros((6, m.output_dim))),
     ],
     ids=["objective_and_gradient", "pga_0_iters", "pga_2_iters",
-         "finite_difference_gradient", "embed_dataset", "cli_perturb"],
+         "finite_difference_gradient", "embed_dataset", "cli_perturb", "pullback_gradients"],
 )
 def test_embedding_dimension_mismatch_rejected(run, tmp_path, capsys):
     rng = np.random.default_rng(11)
@@ -322,3 +323,12 @@ def test_embedding_dimension_mismatch_rejected(run, tmp_path, capsys):
     else:
         assert code == 2
         assert "input_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (6, 3), (6,), (1, 6, 2)])
+def test_pullback_rejects_gradients_of_wrong_shape(shape):
+    m = tanh_map(seed=12)
+    pts = np.random.default_rng(11).normal(size=(6, 2))
+    message = f"gradient shape {shape} does not match (6, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pullback_gradients(m, pts, np.zeros(shape))

@@ -181,10 +181,10 @@ def test_threads_do_not_change_bits(monkeypatch, pools):
     cases.append(LabeledDataset(cases[0].points, np.zeros(150, dtype=int), 1))
     # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
     # so _WORKERS sets the count. 64-row bands give the pass three, fewer
-    # than 64 workers; 8-row bands give it 19, so three workers get groups
-    # of uneven length. The references are recomputed at each band width.
-    # The gradient's pass A keeps its strips, and under a scratch budget of
-    # 0 it keeps none
+    # than 64 workers; 8-row bands give it 19, which three workers take
+    # seven, six and six, worker w bands w, w + 3 and so on. The references
+    # are recomputed at each band width. The gradient's pass A keeps its
+    # strips, and under a scratch budget of 0 it keeps none
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 8):

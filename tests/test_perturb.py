@@ -254,10 +254,11 @@ def test_gradient_threads_bitwise_identical(monkeypatch, pools):
     runs.append((LabeledDataset(cases[0][0].points, np.zeros(120, dtype=int), 1), None))
     # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
     # so _WORKERS sets the count. 64-row bands give the pass two, fewer
-    # than three workers; 8-row bands give it 15, so three workers get
-    # groups of uneven length and 64 run one worker per band. The
-    # references are recomputed at each band width. Pass B weighs pass A's
-    # kept strips, and under a scratch budget of 0 computes them again
+    # than three workers; 8-row bands give it 15, which three workers take
+    # five each, worker w bands w, w + 3 and so on, and 64 run one worker
+    # per band. The references are recomputed at each band width. Pass B
+    # weighs pass A's kept strips, and under a scratch budget of 0 computes
+    # them again
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 8):
@@ -776,10 +777,11 @@ def test_pga_threads_bitwise_identical(monkeypatch, pools):
     ]
     # a chunk of 1 lifts the cap of one worker per _CHUNK_ELEMENTS pairs,
     # so _WORKERS sets the count. 64-row bands give the pass two, fewer
-    # than three workers; 8-row bands give it 10, so three workers get
-    # groups of uneven length and 64 run one worker per band. The
-    # references are recomputed at each band width. Pass B weighs pass A's
-    # kept strips, and under a scratch budget of 0 computes them again
+    # than three workers; 8-row bands give it 10, which three workers take
+    # four, three and three, worker w bands w, w + 3 and so on, and 64 run
+    # one worker per band. The references are recomputed at each band
+    # width. Pass B weighs pass A's kept strips, and under a scratch budget
+    # of 0 computes them again
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     scratch = estimator._SCRATCH
     for tile in (estimator._TILE, 8):
