@@ -38,8 +38,12 @@ again.
 from __future__ import annotations
 
 import bisect
+import functools
+import importlib.machinery
+import importlib.util
 import os
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,6 +77,43 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
     _WORKERS = os.cpu_count() or 1
+
+
+@functools.cache
+def _distances():
+    """scipy's compiled distance kernels, called as
+    ``cdist_sqeuclidean(x, y, out=out)`` and ``pdist_euclidean(x)``.
+
+    scipy's public ``cdist`` and ``pdist`` hand these two metrics straight
+    to one compiled module, ``_distance_pybind`` in scipy's spatial
+    package, but importing them loads scipy's k-d tree, sparse arrays,
+    linear algebra and special functions too, most of a small command's
+    time. So the first call
+    loads that one file from scipy's package directory, without importing
+    scipy, under a name of this package's and outside ``sys.modules``.
+    The module is private to scipy: where no such file loads, or it lacks
+    either function, the public functions, which call the same kernels,
+    stand in.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    for location in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "spatial", "_distance_pybind" + suffix)
+            loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._distance_pybind", path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(loader.name, loader)
+                )
+                loader.exec_module(module)
+            except ImportError:
+                continue
+            if hasattr(module, "cdist_sqeuclidean") and hasattr(module, "pdist_euclidean"):
+                return module
+    from scipy.spatial.distance import cdist, pdist
+
+    return types.SimpleNamespace(
+        cdist_sqeuclidean=functools.partial(cdist, metric="sqeuclidean"), pdist_euclidean=pdist
+    )
 
 
 @dataclass(frozen=True)
@@ -215,19 +256,18 @@ def _similarity_rows(
     written into ``out``, a C-contiguous (hi - lo, n - start) float64
     array.
 
-    ``cdist`` sums each squared distance over the coordinates in a fixed
-    order, and (a - b)^2 = (b - a)^2, so the entry of a pair has the same
-    bits whichever point is the row, whatever block it is computed in and
-    whatever array it is written to: a band can compute each pair once.
+    ``cdist_sqeuclidean`` sums each squared distance over the coordinates
+    in a fixed order, and (a - b)^2 = (b - a)^2, so the entry of a pair has
+    the same bits whichever point is the row, whatever block it is computed
+    in and whatever array it is written to: a band can compute each pair
+    once.
     With ``shifted``, which takes whole rows (start 0), row u is divided
     by its nearest neighbour's similarity:
     exp(-(||x_u - x_j||^2 - min_{k != u} ||x_u - x_k||^2) / (2 sigma^2)).
     Posteriors and gradient terms are ratios to a row's mass, so they
     keep their value, also where the plain mass underflows float64.
     """
-    from scipy.spatial.distance import cdist
-
-    block = cdist(points[lo:hi], points[start:], "sqeuclidean", out=out)
+    block = _distances().cdist_sqeuclidean(points[lo:hi], points[start:], out=out)
     own = block[:, lo - start : hi - start]
     if shifted:
         np.fill_diagonal(own, np.inf)
@@ -262,10 +302,8 @@ def _posterior_pass(
     The estimator and the gradient both read this one streamed pass, so
     the objective of the gradient is bit-equal to the estimate.
     """
-    # scipy.spatial is most of the package's import time, so it loads on
-    # the first pass, here on the calling thread before any band runs
-    import scipy.spatial.distance  # noqa: F401
-
+    # the kernels load here, on the calling thread, before any band runs
+    _distances()
     order = np.argsort(labels, kind="stable")
     bounds = _class_bounds(labels, k)
     points = coords[order]
@@ -424,9 +462,7 @@ def median_heuristic_bandwidth(data: LabeledDataset) -> float:
     at once (1.6 GB of doubles at n=20000); np.median partitions them in
     place.
     """
-    from scipy.spatial.distance import pdist
-
-    dists = pdist(data.points)
+    dists = _distances().pdist_euclidean(data.points)
     med = float(np.median(dists, overwrite_input=True))
     if med <= 0.0:
         raise ValueError(

@@ -473,6 +473,30 @@ def test_module_entry_point_runs():
     assert "perturb" in result.stdout
 
 
+@pytest.mark.parametrize("command", ["estimate-sigma", "perturb", "estimate-median"])
+def test_commands_run_without_scipy_spatial(tmp_path, command):
+    path = tmp_path / "moons.csv"
+    assert main(["gen", "moons", "--n", "100", "--seed", "0", "--out", str(path)]) == 0
+    args = {
+        "estimate-sigma": ["estimate", str(path), "--sigma", "0.4"],
+        "perturb": ["perturb", str(path), "--eps", "0.2", "--iters", "2",
+                    "--out", str(tmp_path / "out.csv")],
+        "estimate-median": ["estimate", str(path)],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bayeshield", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    # -X importtime writes one "import time: self | cumulative | name" line
+    # per module imported
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "bayeshield.cli" in imported
+    assert [name for name in imported if name.startswith("scipy.spatial")] == []
+
+
 def test_perturb_out_of_range_frozen_index_exits_2(tmp_path, capsys):
     data_path = tmp_path / "moons.csv"
     assert main(["gen", "moons", "--n", "40", "--seed", "0", "--out", str(data_path)]) == 0

@@ -1,15 +1,19 @@
 import collections
+import importlib.machinery
 import itertools
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import types
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
@@ -295,30 +299,62 @@ def test_small_pass_runs_on_the_calling_thread(monkeypatch, pools):
 
 
 SPATIAL_GUARD = """
-import json, sys, threading
+import importlib.machinery, json, pathlib, sys, threading
 import bayeshield, bayeshield.cli
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
-absent = not any(name.startswith("scipy.spatial") for name in sys.modules)
-importers = []
+from bayeshield.perturb import objective_and_gradient
+HEAVY = ("scipy.spatial", "scipy.linalg", "scipy.special")
 
 
-class Recorder:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy.spatial":
-            importers.append(threading.current_thread() is threading.main_thread())
+def heavy():
+    return sorted(name for name in sys.modules if name.startswith(HEAVY))
 
 
-sys.meta_path.insert(0, Recorder())
+loads = []
+threads = set()
+
+
+class Recorder(importlib.machinery.ExtensionFileLoader):
+    def exec_module(self, module):
+        on_main = threading.current_thread() is threading.main_thread()
+        loads.append([pathlib.Path(self.path).name.split(".")[0], on_main])
+        super().exec_module(module)
+
+
+similarity_rows = estimator._similarity_rows
+
+
+def recorded_rows(*args, **kwargs):
+    threads.add(threading.current_thread())
+    return similarity_rows(*args, **kwargs)
+
+
+importlib.machinery.ExtensionFileLoader = Recorder
+estimator._similarity_rows = recorded_rows
 estimator._WORKERS = 2
+estimator._TILE = 10
 estimator._CHUNK_ELEMENTS = 40 * 10
+after_import = heavy()
 ds = LabeledDataset(json.loads(sys.argv[1]), [0, 1] * 20, 2)
-value = estimator.estimate_bayes_error(ds, SimilarityKernel(bandwidth=1.0)).value
-print(json.dumps({"absent_on_import": absent, "importers": importers, "value": value}))
+kernel = SimilarityKernel(bandwidth=1.0)
+value = estimator.estimate_bayes_error(ds, kernel).value
+workers = len(threads)
+gradients = objective_and_gradient(ds, kernel).gradients
+after_passes = heavy()
+median = estimator.median_heuristic_bandwidth(ds)
+print(json.dumps({
+    "heavy": [after_import, after_passes, heavy()],
+    "loads": loads,
+    "workers": workers,
+    "value": value,
+    "gradients": gradients.tolist(),
+    "median": median,
+}))
 """
 
 
-def test_package_import_leaves_scipy_spatial_to_the_first_pass():
+def test_distance_kernels_load_without_scipy_spatial(monkeypatch):
     points = np.random.default_rng(17).normal(size=(40, 2))
     result = subprocess.run(
         [sys.executable, "-c", SPATIAL_GUARD, json.dumps(points.tolist())],
@@ -327,11 +363,119 @@ def test_package_import_leaves_scipy_spatial_to_the_first_pass():
         check=True,
     )
     got = json.loads(result.stdout)
-    assert got["absent_on_import"] is True
-    # loaded once, on the calling thread, before any band ran
-    assert got["importers"] == [True]
+    # none of them after import, after two-worker passes, after the median
+    assert got["heavy"] == [[], [], []]
+    # the compiled module loaded once, on the calling thread, before any band ran
+    assert got["loads"] == [["_distance_pybind", True]]
+    assert got["workers"] == 2
+    # the bits follow the band width, so the same bands here
+    monkeypatch.setattr(estimator, "_TILE", 10)
     ds = LabeledDataset(points, [0, 1] * 20, 2)
     assert got["value"] == estimate_bayes_error(ds, K1).value
+    np.testing.assert_array_equal(got["gradients"], objective_and_gradient(ds, K1).gradients)
+    assert got["median"] == float(np.median(pdist(points)))
+
+
+def test_distance_kernels_are_scipys_compiled_module():
+    # a scipy that moves or renames the module fails here rather than
+    # running every pass through the slower public import
+    kernels = estimator._distances()
+    assert isinstance(kernels, types.ModuleType)
+    path = pathlib.Path(kernels.__file__)
+    assert path.parent.name == "spatial" and path.parent.parent.name == "scipy"
+    assert path.name.startswith("_distance_pybind.")
+    assert kernels.__name__ not in sys.modules
+
+
+def distance_sample(seed, d):
+    """Rows at a seeded scale with duplicates, whose distances to every
+    other row tie exactly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 90))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    points = rng.normal(size=(n, d)) * scale
+    points[n // 3] = points[0]
+    points[n // 2] = points[1]
+    # and two rows one scale either side of a third along the first axis
+    points[2:5] = points[5]
+    points[2, 0] -= scale
+    points[3, 0] += scale
+    return points
+
+
+@pytest.mark.parametrize("d", [1, 2, 64, 300])
+@pytest.mark.parametrize("seed", range(3))
+def test_distance_kernels_match_public_cdist_and_pdist(seed, d):
+    kernels = estimator._distances()
+    points = distance_sample(seed, d)
+    n = points.shape[0]
+    for lo, hi, start in [(0, n, 0), (0, 10, 0), (7, 19, 7), (n - 5, n, 3)]:
+        out = np.empty((hi - lo, n - start))
+        got = kernels.cdist_sqeuclidean(points[lo:hi], points[start:], out=out)
+        assert got is out
+        expected = cdist(points[lo:hi], points[start:], "sqeuclidean")
+        assert got.tobytes() == expected.tobytes()
+    assert kernels.pdist_euclidean(points).tobytes() == pdist(points).tobytes()
+
+
+@pytest.mark.parametrize(
+    "out, columns",
+    [
+        (np.empty((4, 9)), 3),
+        (np.empty((10, 4)).T, 3),
+        (np.empty((4, 10), dtype=np.int64), 3),
+        (np.empty((4, 10)), 2),
+    ],
+    ids=["shape", "non-contiguous", "integer", "columns"],
+)
+def test_distance_kernels_check_their_arguments(out, columns):
+    points = np.random.default_rng(3).normal(size=(10, 3))
+    with pytest.raises(ValueError):
+        estimator._distances().cdist_sqeuclidean(points[:4], points[:, :columns], out=out)
+
+
+class FailingLoader(importlib.machinery.ExtensionFileLoader):
+    def exec_module(self, module):
+        raise ImportError("forced failure")
+
+
+class BareLoader(importlib.machinery.ExtensionFileLoader):
+    def exec_module(self, module):
+        super().exec_module(module)
+        del module.pdist_euclidean
+
+
+@pytest.fixture
+def distance_kernels(monkeypatch):
+    """Sets how the compiled module loads, and forgets the loaded one
+    before and after the test."""
+    estimator._distances.cache_clear()
+    yield monkeypatch
+    estimator._distances.cache_clear()
+
+
+@pytest.mark.parametrize("failure", ["missing", "failing", "bare"])
+def test_public_fallback_gives_the_same_bytes(distance_kernels, failure):
+    points = distance_sample(4, 3)
+    ds = LabeledDataset(points, np.random.default_rng(29).integers(0, 3, len(points)), 3)
+    kernel = SimilarityKernel(bandwidth=float(median_heuristic_bandwidth(ds)))
+
+    def outputs():
+        estimate = estimate_bayes_error(ds, kernel)
+        gradients = objective_and_gradient(ds, kernel).gradients
+        median = median_heuristic_bandwidth(ds)
+        return estimate.per_sample_max_posterior.tobytes(), gradients.tobytes(), median
+
+    assert isinstance(estimator._distances(), types.ModuleType)
+    fast = outputs()
+    estimator._distances.cache_clear()
+    if failure == "missing":
+        distance_kernels.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".none"])
+    else:
+        loader = FailingLoader if failure == "failing" else BareLoader
+        distance_kernels.setattr(importlib.machinery, "ExtensionFileLoader", loader)
+    assert not isinstance(estimator._distances(), types.ModuleType)
+    assert outputs() == fast
 
 
 @pytest.mark.parametrize("workers", [2, 3])
