@@ -17,7 +17,15 @@ import numpy as np
 
 from .core import LabeledDataset, _frozen_array
 
-ACTIVATIONS = ("identity", "tanh", "relu")
+# name -> (activation, its derivative written in terms of the layer
+# output a): for tanh that is 1 - a^2; for relu, a > 0 iff its input is,
+# so the derivative at exactly 0 is taken as 0
+_ACTIVATIONS = {
+    "identity": (lambda z: z, np.ones_like),
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 EMBEDDING_FORMAT_VERSION = 1
 
@@ -76,35 +84,16 @@ class EmbeddingMap:
         return self.layers[-1].weight.shape[0]
 
 
-def _activate(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    # relu; the derivative at exactly 0 is taken as 0 downstream
-    return np.maximum(z, 0.0)
-
-
-def _activation_derivative(post: np.ndarray, name: str) -> np.ndarray:
-    # Derivatives written in terms of the layer output: for tanh the
-    # output a gives 1 - a^2; for relu, output > 0 iff input > 0.
-    if name == "identity":
-        return np.ones_like(post)
-    if name == "tanh":
-        return 1.0 - post * post
-    return (post > 0.0).astype(np.float64)
-
-
 def _forward(mapping: EmbeddingMap, points: np.ndarray) -> list:
-    """Layer outputs for a batch; entry 0 is the input itself.
+    """The layers' outputs for a batch, first layer first.
 
     Raises ValueError naming the first layer whose output overflows.
     """
-    outputs = [points]
+    outputs = []
     cur = points
     for idx, layer in enumerate(mapping.layers):
         with np.errstate(over="ignore", invalid="ignore"):
-            cur = _activate(cur @ layer.weight.T + layer.bias, layer.activation)
+            cur = _ACTIVATIONS[layer.activation][0](cur @ layer.weight.T + layer.bias)
         if not np.isfinite(cur).all():
             raise ValueError(f"embedding layer {idx} output is not finite")
         outputs.append(cur)
@@ -146,8 +135,8 @@ def pullback_gradients(mapping: EmbeddingMap, points, grads_emb) -> np.ndarray:
         )
     outputs = _forward(mapping, pts)
     cur = grads
-    for layer, post in zip(reversed(mapping.layers), reversed(outputs[1:])):
-        cur = cur * _activation_derivative(post, layer.activation)
+    for layer, post in zip(reversed(mapping.layers), reversed(outputs)):
+        cur = cur * _ACTIVATIONS[layer.activation][1](post)
         cur = cur @ layer.weight
     return cur
 

@@ -696,6 +696,32 @@ def test_negative_seed_names_the_seed(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+FLAG_ERRORS = [
+    (["gen", "truncnorm", "--n", "1"], "need n >= 2, got 1"),
+    (["gen", "moons", "--n", "3"], "n must be even and >= 2, got 3"),
+    (["gen", "moons", "--noise", "nan"], "noise must be a non-negative real, got nan"),
+    (["gen", "moons", "--noise", "-1"], "noise must be a non-negative real, got -1.0"),
+    (["gradcheck", "--h", "0"], "h must be a positive real, got 0.0"),
+    (["gradcheck", "--h", "nan"], "h must be a positive real, got nan"),
+    (["gradcheck", "--h", "inf"], "h must be a positive real, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, message", FLAG_ERRORS, ids=["_".join(command) for command, _ in FLAG_ERRORS]
+)
+def test_flag_errors_exit_2_with_one_line(tmp_path, capsys, command, message):
+    out = tmp_path / "out.csv"
+    name, *flags = command
+    if name == "gen":
+        argv = [name, *flags, "--out", str(out)]
+    else:
+        argv = [name, str(three_point_file(tmp_path)), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_stalled_ascent_with_huge_iters_exits_2(tmp_path):
     # at --eta 1e300 every candidate of the first step is rejected, so the run
     # stalls and would pad its trace to --iters + 1 entries

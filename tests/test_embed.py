@@ -13,6 +13,7 @@ from bayeshield.core import (
     SimilarityKernel,
 )
 from bayeshield.embed import (
+    ACTIVATIONS,
     EmbeddingLayer,
     EmbeddingMap,
     embed_dataset,
@@ -41,22 +42,32 @@ def affine_map():
     )
 
 
-def tanh_map(seed=0, d_in=2, d_mid=3, d_out=2):
+def mlp_map(seed=0, d_in=2, d_mid=3, d_out=2, activation="tanh"):
     rng = np.random.default_rng(seed)
     return EmbeddingMap(
         layers=(
             EmbeddingLayer(
                 weight=rng.normal(size=(d_mid, d_in)) * 0.8,
                 bias=rng.normal(size=d_mid) * 0.1,
-                activation="tanh",
+                activation=activation,
             ),
             EmbeddingLayer(
                 weight=rng.normal(size=(d_out, d_mid)) * 0.8,
                 bias=rng.normal(size=d_out) * 0.1,
-                activation="tanh",
+                activation=activation,
             ),
         )
     )
+
+
+def min_abs_pre_activation(m, points):
+    """Smallest |z| over every layer's input to its activation."""
+    smallest = np.inf
+    cur = np.asarray(points, dtype=np.float64)
+    for i, layer in enumerate(m.layers):
+        smallest = min(smallest, np.abs(cur @ layer.weight.T + layer.bias).min())
+        cur = embed_points(EmbeddingMap(m.layers[: i + 1]), points)
+    return smallest
 
 
 def test_identity_map_is_identity():
@@ -71,7 +82,7 @@ def test_affine_forward():
 
 
 def test_two_layer_tanh_forward_scalar_oracle():
-    m = tanh_map(seed=1)
+    m = mlp_map(seed=1)
     x = np.array([0.4, -0.7])
     # dimension-by-dimension reference evaluation
     h = []
@@ -117,7 +128,7 @@ def test_forward_overflow_names_the_layer(tmp_path, capsys):
 
 
 def test_dimension_properties():
-    m = tanh_map()
+    m = mlp_map()
     assert m.input_dim == 2
     assert m.output_dim == 2
 
@@ -137,10 +148,13 @@ def test_dimension_chain_mismatch_rejected():
 
 
 def test_layer_validation():
-    with pytest.raises(ValueError, match="activation"):
+    message = "activation must be one of ('identity', 'tanh', 'relu'), got 'sigmoid'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EmbeddingLayer(weight=[[1.0]], bias=[0.0], activation="sigmoid")
     with pytest.raises(ValueError, match="bias"):
         EmbeddingLayer(weight=[[1.0, 2.0]], bias=[0.0, 0.0], activation="identity")
+    with pytest.raises(ValueError, match="^embedding map needs at least one layer$"):
+        EmbeddingMap(())
 
 
 def test_pullback_identity():
@@ -158,7 +172,7 @@ def test_pullback_affine_is_w_transpose():
 
 
 def test_pullback_linear_in_gradient():
-    m = tanh_map(seed=2)
+    m = mlp_map(seed=2)
     x = np.array([[0.3, 0.9]])
     g1 = np.array([[1.0, 0.0]])
     g2 = np.array([[0.0, 1.0]])
@@ -167,11 +181,14 @@ def test_pullback_linear_in_gradient():
     np.testing.assert_allclose(combined, parts, atol=1e-12)
 
 
-def test_pullback_matches_finite_differences():
-    m = tanh_map(seed=3)
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_pullback_matches_finite_differences(activation):
+    m = mlp_map(seed=3, activation=activation)
     rng = np.random.default_rng(4)
     x = rng.normal(size=2) * 0.5
     g = rng.normal(size=2)
+    # no difference below may straddle relu's kink at 0
+    assert min_abs_pre_activation(m, x[None, :]) > 1e-3
     analytic = pullback_gradients(m, x[None, :], g[None, :])[0]
     h = 1e-6
     fd = np.empty(2)
@@ -188,16 +205,18 @@ def test_pullback_matches_finite_differences():
 def test_objective_with_embedding_matches_embedded_data():
     rng = np.random.default_rng(5)
     ds = LabeledDataset(rng.normal(size=(12, 2)), rng.integers(0, 2, 12), 2)
-    m = tanh_map(seed=5)
+    m = mlp_map(seed=5)
     report = objective_and_gradient(ds, K1, embedding=m)
     direct = objective_and_gradient(embed_dataset(m, ds), K1)
     assert report.objective == direct.objective
 
 
-def test_embedded_gradient_matches_finite_differences():
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_embedded_gradient_matches_finite_differences(activation):
     rng = np.random.default_rng(6)
     ds = LabeledDataset(rng.normal(size=(10, 2)), rng.integers(0, 2, 10), 2)
-    m = tanh_map(seed=6)
+    m = mlp_map(seed=6, activation=activation)
+    assert min_abs_pre_activation(m, ds.points) > 1e-3
     report = objective_and_gradient(ds, K1, embedding=m)
     assert not report.tied_rows
     fd = finite_difference_gradient(ds, K1, embedding=m)
@@ -219,7 +238,7 @@ def test_identity_embedding_pga_bitwise_equal():
 def test_pga_with_tanh_embedding_runs_and_lifts():
     rng = np.random.default_rng(8)
     ds = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), 2)
-    m = tanh_map(seed=8)
+    m = mlp_map(seed=8)
     c = PerturbationConstraint(norm_order="l2", radius=0.4)
     config = PgaConfig(step_size=0.05, max_iterations=20)
     result = pga_maximize(ds, K1, c, config, embedding=m)
@@ -228,7 +247,7 @@ def test_pga_with_tanh_embedding_runs_and_lifts():
 
 
 def test_save_load_round_trip(tmp_path):
-    m = tanh_map(seed=9)
+    m = mlp_map(seed=9)
     path = tmp_path / "map.json"
     save_embedding(m, path)
     loaded = load_embedding(path)
@@ -258,15 +277,34 @@ def test_load_rejects_missing_version(tmp_path):
             load_embedding(path)
 
 
-def test_load_rejects_bad_layer(tmp_path):
+def test_load_rejects_bad_layer(tmp_path, capsys):
     path = tmp_path / "bad2.json"
-    payload = {
-        "version": 1,
-        "layers": [{"weight": [[1.0]], "bias": [0.0, 0.0], "activation": "identity"}],
-    }
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="bias"):
-        load_embedding(path)
+    identity = {"weight": [[1.0]], "bias": [0.0], "activation": "identity"}
+    cases = [
+        ("[]", "top level must be an object"),
+        ('{"version": 1}', "'layers' must be a non-empty list"),
+        ('{"version": 1, "layers": []}', "'layers' must be a non-empty list"),
+        ('{"version": 1, "layers": {}}', "'layers' must be a non-empty list"),
+        ('{"version": 1, "layers": [1]}', "layer 0 must be an object"),
+        (json.dumps({"version": 1, "layers": [identity, {"weight": [[1.0]]}]}),
+         "layer 1 missing ['activation', 'bias']"),
+        (json.dumps({"version": 1, "layers": [dict(identity, bias=[0.0, 0.0])]}),
+         "layer 0: bias shape (2,) does not match weight rows 1"),
+        (json.dumps({"version": 1, "layers": [dict(identity, weight=[1.0, 2.0])]}),
+         "layer 0: weight must be 2-d, got shape (2,)"),
+        ('{"version": 1, "layers": [{"weight": [[NaN]], "bias": [0.0], '
+         '"activation": "identity"}]}', "layer 0: layer parameters must be finite"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        expected = f"embedding file {path}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            load_embedding(path)
+    # the last case again through the CLI: one error line, no traceback
+    data_path = tmp_path / "data.csv"
+    write_dataset_csv(data_path, LabeledDataset([[1.0], [3.0]], [0, 1], 2))
+    assert main(["estimate", str(data_path), "--embedding", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_load_rejects_integer_too_large_for_float64(tmp_path, capsys):
@@ -315,7 +353,7 @@ BALL = PerturbationConstraint(norm_order="l2", radius=0.3)
 def test_embedding_dimension_mismatch_rejected(run, tmp_path, capsys):
     rng = np.random.default_rng(11)
     ds = LabeledDataset(rng.normal(size=(6, 3)), [0, 1, 0, 1, 0, 1], 2)
-    m = tanh_map(seed=12, d_in=2)
+    m = mlp_map(seed=12, d_in=2)
     try:
         code = run(ds, m, tmp_path)
     except ValueError as exc:
@@ -327,7 +365,7 @@ def test_embedding_dimension_mismatch_rejected(run, tmp_path, capsys):
 
 @pytest.mark.parametrize("shape", [(5, 2), (6, 3), (6,), (1, 6, 2)])
 def test_pullback_rejects_gradients_of_wrong_shape(shape):
-    m = tanh_map(seed=12)
+    m = mlp_map(seed=12)
     pts = np.random.default_rng(11).normal(size=(6, 2))
     message = f"gradient shape {shape} does not match (6, 2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
