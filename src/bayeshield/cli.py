@@ -99,7 +99,7 @@ def _read_table(path, what: str, header: bool = True) -> tuple:
     file and the line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CsvFormatError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

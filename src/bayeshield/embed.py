@@ -162,7 +162,7 @@ def save_embedding(mapping: EmbeddingMap, path) -> None:
 
 def load_embedding(path) -> EmbeddingMap:
     """Parse an embedding file written by :func:`save_embedding`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

@@ -153,11 +153,10 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     ``partial[:, hi:]``, where ``partial`` is a (width, n) array that is
     zero from column lo on when the band starts. Once every earlier band
     is in ``sums`` the runner adds ``partial[:, lo:]`` to
-    ``sums[:, lo:]``. So each column of ``sums`` adds the earlier bands'
-    column sums in band order, then its own band's row sums, whichever
-    worker computed them. The arrays handed to a fill are C-contiguous,
-    and the runner adds one contiguous row at a time, as numpy buffers an
-    addition over strided 2-d views in up to 192 kB per call.
+    ``sums[:, lo:]`` in one addition. So each column of ``sums`` adds the
+    earlier bands' column sums in band order, then its own band's row
+    sums, whichever worker computed them. The arrays handed to a fill are
+    C-contiguous.
 
     A worker's scratch is ``(arrays * _TILE + width) * n`` doubles, so
     the pass runs as many workers as fit in an eighth of n * n doubles,
@@ -179,14 +178,13 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     lowest-numbered worker that failed.
     """
     width, n = sums.shape
-    tile = min(_TILE, n)
     bands = -(-n // _TILE)
-    budget = max(n * n // 8, _SCRATCH) // ((arrays * tile + width) * n)
+    budget = max(n * n // 8, _SCRATCH) // ((arrays * _TILE + width) * n)
     workers = max(1, min(_WORKERS, bands, n * n // _CHUNK_ELEMENTS, budget))
     turn = threading.Condition()
     added = 0  # sums holds every band that ends at or before this row
     failed = False
-    strips = np.empty((workers, arrays * tile * n))
+    strips = np.empty((workers, arrays * _TILE * n))
     partials = np.empty((workers, width, n))
 
     def run(w) -> None:
@@ -203,8 +201,7 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
                     turn.wait_for(lambda: added == lo or failed)
                     if added != lo:
                         return
-                    for total, part in zip(sums, partial):
-                        total[lo:] += part[lo:]
+                    sums[:, lo:] += partial[:, lo:]
                     added = hi
                     turn.notify_all()
         except BaseException:
@@ -222,8 +219,8 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
 
 
 def _input_order(order: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Rows of a pass in class order, moved back to input order."""
-    out = np.empty_like(values)
+    """Rows of a pass in class order, moved back to input order, C-ordered."""
+    out = np.empty(values.shape, values.dtype)
     out[order] = values
     return out
 
@@ -427,8 +424,7 @@ def _objective_and_gradient(
     gradients_t *= sums[0]
     gradients_t -= sums[1:]
     gradients_t /= n
-    gradients = np.empty_like(points)
-    gradients[order] = gradients_t.T
+    gradients = _input_order(order, gradients_t.T)
     return objective, (np.flatnonzero(_input_order(order, tied)), gradients)
 
 

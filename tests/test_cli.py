@@ -120,16 +120,48 @@ def test_frozen_file_parsing(tmp_path):
         read_frozen_file(bad)
 
 
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path):
+    # Windows tools may start UTF-8 text with a byte-order mark
+    rng = np.random.default_rng(4)
+    ds = LabeledDataset(rng.normal(size=(6, 2)), rng.integers(0, 3, 6), 3)
+    files = {
+        "dataset.csv": (read_dataset_csv, lambda path: write_dataset_csv(path, ds)),
+        "bare.csv": (read_dataset_csv, lambda path: path.write_text("f0,label\n1.0,0\n2.0,1\n")),
+        "deltas.csv": (read_deltas_csv, lambda path: write_deltas_csv(path, ds.points)),
+        "trace.csv": (read_trace_csv, lambda path: write_trace_csv(path, [0.1, 0.2])),
+        "frozen.txt": (read_frozen_file, lambda path: path.write_text("0\n# pinned\n2\n")),
+    }
+    for name, (reader, write) in files.items():
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        write(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = reader(plain), reader(marked)
+        if isinstance(want, LabeledDataset):
+            assert got.num_classes == want.num_classes
+            assert got.labels.tobytes() == want.labels.tobytes()
+            want, got = want.points, got.points
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+
 def test_non_utf8_input_names_the_file(tmp_path, capsys):
     data = three_point_file(tmp_path)
     bad_data = tmp_path / "latin.csv"
     bad_data.write_bytes(b"f0,label\n0.0,0\n1.0,\xff1\n")
+    marked = tmp_path / "bombad.csv"
+    marked.write_bytes(b"\xef\xbb\xbf# version=1\nf0,label\n0.0,0\n\xff1.0,1\n")
     frozen = tmp_path / "frozen.txt"
     frozen.write_bytes(b"0\n\xff\n")
     embedding = tmp_path / "emb.json"
     embedding.write_bytes(b'{"version": 1, "layers": "\xff"}')
     cases = [
         (["estimate", str(bad_data), "--sigma", "1"], "latin.csv:3: not UTF-8 text"),
+        (
+            ["estimate", str(marked), "--sigma", "1"],
+            "bombad.csv:4: not UTF-8 text (invalid start byte)",
+        ),
         (
             ["perturb", str(data), "--eps", "0.1", "--iters", "1", "--sigma", "1",
              "--frozen", str(frozen), "--out", str(tmp_path / "out.csv")],
@@ -421,6 +453,35 @@ def test_gradcheck_reports_and_excludes_ties(tmp_path, capsys):
     assert code == 0
 
 
+def test_gradcheck_all_rows_tied_compares_nothing(tmp_path, capsys):
+    # each corner of the unit square has its own class, and its two nearest
+    # neighbours tie for its posterior's maximum
+    path = tmp_path / "square.csv"
+    path.write_text("# k=4\nf0,f1,label\n0.0,0.0,0\n1.0,0.0,1\n0.0,1.0,2\n1.0,1.0,3\n")
+    report = tmp_path / "report.json"
+    assert main(["gradcheck", str(path), "--sigma", "1", "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "argmax ties at rows: 0, 1, 2, 3 (excluded from the comparison)",
+        "all rows tied; nothing to compare",
+        "max relative error: 0.000e+00",
+        "gradient check passed",
+    ]
+    results = json.loads(report.read_text())["results"]
+    assert results["tied_rows"] == [0, 1, 2, 3]
+    assert results["max_relative_error"] == 0.0
+
+
+def test_unexpected_error_exits_1_with_a_traceback(tmp_path, capsys, monkeypatch):
+    def estimate_bayes_error(data, kernel):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "estimate_bayes_error", estimate_bayes_error)
+    assert main(["estimate", str(three_point_file(tmp_path)), "--sigma", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: unexpected\n")
+
+
 def test_gradcheck_huge_h_fails(tmp_path, capsys):
     path = three_point_file(tmp_path)
     code = main(["gradcheck", str(path), "--sigma", "1.0", "--h", "1.0"])
@@ -579,11 +640,12 @@ READER_ERRORS = {
     "bad-deltas-header": (read_deltas_csv, "f0,g1\n0.0,0.0\n", 1,
                           "deltas header must be f0,..,f1"),
     "unreadable-path": (read_dataset_csv, None, None, "cannot read dataset"),
+    "one-sample": (read_dataset_csv, "f0,label\n0.0,0\n", None, "need at least 2 samples, got 1"),
 }
 
 
 @pytest.mark.parametrize("case", list(READER_ERRORS))
-def test_reader_errors_name_path_and_line(tmp_path, case):
+def test_reader_errors_name_path_and_line(tmp_path, capsys, case):
     reader, text, line, message = READER_ERRORS[case]
     path = tmp_path / f"{case}.csv"
     if text is not None:
@@ -597,6 +659,10 @@ def test_reader_errors_name_path_and_line(tmp_path, case):
         assert got == f"{path}: {message}"
     else:
         assert got == f"{path}:{line}: {message}"
+    # a command that reads the dataset exits 2 with the reader's message
+    if reader is read_dataset_csv:
+        assert main(["estimate", str(path), "--sigma", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {got}\n"
 
 
 def test_first_bad_field_in_file_order_wins(tmp_path):

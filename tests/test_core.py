@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -22,9 +23,20 @@ def test_dataset_basic_construction():
     assert ds.labels.dtype == np.int64
 
 
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
 def test_dataset_rejects_single_sample():
     with pytest.raises(ValueError, match="at least 2"):
         LabeledDataset([[0.0]], [0], 1)
+    # the other shape checks, each with its exact message
+    with pytest.raises(ValueError, match=exactly("points must be a 2-d array, got shape (2,)")):
+        LabeledDataset([0.0, 1.0], [0, 1], 2)
+    with pytest.raises(ValueError, match=exactly("need at least 1 feature dimension")):
+        LabeledDataset(np.empty((2, 0)), [0, 1], 2)
+    with pytest.raises(ValueError, match=exactly("labels shape (3,) does not match 2 points")):
+        LabeledDataset([[0.0], [1.0]], [0, 1, 1], 2)
 
 
 def test_dataset_rejects_label_outside_range():
@@ -94,6 +106,14 @@ def test_posterior_matrix_validation():
         PosteriorMatrix([[0.5, 0.4]])
     with pytest.raises(ValueError, match="lie in"):
         PosteriorMatrix([[1.5, -0.5]])
+    with pytest.raises(ValueError, match=exactly("posterior values must be 2-d, got shape (2,)")):
+        PosteriorMatrix([0.5, 0.5])
+    with pytest.raises(
+        ValueError, match=exactly("posterior matrix needs at least one class column")
+    ):
+        PosteriorMatrix(np.empty((2, 0)))
+    with pytest.raises(ValueError, match=exactly("posterior values contain non-finite entries")):
+        PosteriorMatrix([[np.nan, 1.0]])
 
 
 def test_pga_config_validation():
@@ -119,6 +139,8 @@ def test_pga_result_validation():
         PgaResult(perturbed=ds, deltas=[[0.0, 0.0]], trace=[0.1])
     with pytest.raises(ValueError, match="trace"):
         PgaResult(perturbed=ds, deltas=[[0.0], [0.0]], trace=[])
+    with pytest.raises(ValueError, match=exactly("trace contains non-finite values")):
+        PgaResult(perturbed=ds, deltas=[[0.0], [0.0]], trace=[0.1, np.inf])
 
 
 def test_star_import_resolves_every_public_name():

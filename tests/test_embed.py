@@ -258,6 +258,10 @@ def test_save_load_round_trip(tmp_path):
         assert a.activation == b.activation
     pts = np.random.default_rng(10).normal(size=(5, 2))
     np.testing.assert_array_equal(embed_points(loaded, pts), embed_points(m, pts))
+    # a UTF-8 byte-order mark, as Windows tools write it, is skipped
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    np.testing.assert_array_equal(embed_points(load_embedding(marked), pts), embed_points(m, pts))
 
 
 def test_load_rejects_missing_version(tmp_path):

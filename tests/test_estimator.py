@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ from scipy.spatial.distance import cdist, pdist
 from bayeshield import estimator
 from bayeshield.core import LabeledDataset, SimilarityKernel
 from bayeshield.estimator import (
+    BayesErrorEstimate,
     _run_bands,
     estimate_bayes_error,
     estimate_posteriors,
@@ -123,6 +125,14 @@ def test_bayes_error_value_consistency():
     assert est.value == pytest.approx(
         1.0 - est.per_sample_max_posterior.mean(), abs=1e-15
     )
+    for value, pmax, message in [
+        (0.5, [], "per_sample_max_posterior must be a non-empty vector"),
+        (0.5, [[0.5]], "per_sample_max_posterior must be a non-empty vector"),
+        (0.0, [1.0, 1.5], "max posteriors must lie in [0, 1]"),
+        (0.25, [0.5, 0.5], "value inconsistent with per-sample posteriors"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BayesErrorEstimate(value=value, per_sample_max_posterior=pmax)
 
 
 def test_posterior_rows_and_bounds_randomized():

@@ -22,6 +22,7 @@ from bayeshield.estimator import (
 )
 from bayeshield.perturb import (
     MAX_HALVINGS,
+    GradientReport,
     _project_rows,
     default_step_size,
     objective_and_gradient,
@@ -245,9 +246,15 @@ def test_gradient_reports_exact_ties():
     assert 2 in report.tied_rows
 
 
+def test_gradient_report_validation():
+    with pytest.raises(ValueError, match=r"^gradients must be 2-d, got shape \(3,\)$"):
+        GradientReport(objective=0.1, gradients=[0.0, 1.0, 2.0])
+
+
 def test_gradient_threads_bitwise_identical(monkeypatch, pools):
-    # at d=9 cdist's sequential sum differs from numpy's 8-wide one
-    cases = [(random_dataset(6, n=120, d=d, k=3), tanh_embedding(d)) for d in (3, 9)]
+    # at d=9 cdist's sequential sum differs from numpy's 8-wide one; at
+    # d=64 pass B adds 65-row sums per band, as on the mixture workload
+    cases = [(random_dataset(6, n=120, d=d, k=3), tanh_embedding(d)) for d in (3, 9, 64)]
     runs = [(ds, e) for ds, embedding in cases for e in (None, embedding)]
     runs.append((far_row_dataset(6, n=120, d=3), None))
     runs.append((unused_classes_dataset(6), None))

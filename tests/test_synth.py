@@ -121,6 +121,13 @@ def test_pair_spec_validation():
         TruncatedNormal(mean=0.0, std=0.0, lower=-1.0, upper=1.0)
     with pytest.raises(ValueError, match="lower"):
         TruncatedNormal(mean=0.0, std=1.0, lower=2.0, upper=1.0)
+    with pytest.raises(ValueError, match=r"^truncated normal parameters must be finite$"):
+        TruncatedNormal(mean=0.0, std=1.0, lower=-math.inf, upper=1.0)
+    with pytest.raises(ValueError, match=r"^priors must be finite$"):
+        TruncatedNormalPairSpec(class0=tn, class1=tn, prior0=math.nan, prior1=0.5)
+    spec = TruncatedNormalPairSpec(class0=tn, class1=tn, prior0=0.5, prior1=0.5)
+    with pytest.raises(ValueError, match=r"^quadrature_points must be at least 2, got 1$"):
+        analytic_bayes_error(spec, quadrature_points=1)
 
 
 def test_sampler_shapes_and_support():
