@@ -43,6 +43,8 @@ class EmbeddingLayer:
         bias = _frozen_array(self.bias, np.float64)
         if weight.ndim != 2:
             raise ValueError(f"weight must be 2-d, got shape {weight.shape}")
+        if 0 in weight.shape:
+            raise ValueError(f"weight dimensions must be at least 1, got shape {weight.shape}")
         if bias.shape != (weight.shape[0],):
             raise ValueError(
                 f"bias shape {bias.shape} does not match weight rows {weight.shape[0]}"

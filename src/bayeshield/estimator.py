@@ -14,13 +14,13 @@ unless that falls below a floor, runs pass B for the gradient that
 ``perturb.objective_and_gradient`` pulls back. Scoring a sample costs
 pass A alone, so the ascent runs pass B only for a step it keeps.
 
-Each pass runs in class order: a stable sort of the labels permutes the
-coordinates and labels once on the way in, so every class owns one
-contiguous slice of rows and of columns, empty for an unused class, and
-row i's own column is column i. A row's class mass is then one sum over
-its slice, and the gradient's sum_j W[i, j] x_j is one contiguous dot
-per coordinate against a (d + 1, n) transpose of the sorted
-coordinates under a row of ones, whose dot gives sum_j W[i, j].
+Each pass runs in class order: pass A's stable sort of the labels
+permutes the coordinates once, and pass B reads its order and class
+bounds, so every class owns one contiguous slice of rows and of columns,
+empty for an unused class, and row i's own column is column i. A row's
+class mass is one sum over its slice, and sum_j W[i, j] x_j one dot per
+coordinate against a (d + 1, n) transpose of the sorted coordinates
+under a row of ones, whose dot gives sum_j W[i, j].
 Per-row results go back to input order once on the way out, before the
 mean and the tie scan, which depend on the order of the rows.
 
@@ -225,11 +225,6 @@ def _input_order(order: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_bounds(labels: np.ndarray, k: int) -> list:
-    """Class c's rows, and columns, in class order are bounds[c]:bounds[c + 1]."""
-    return np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
-
-
 def _class_slices(bounds: list, lo: int, hi: int) -> list:
     """``(c, a, b)`` for each class c whose slice [bounds[c], bounds[c + 1])
     of class order meets [lo, hi), with [a, b) the part inside."""
@@ -284,12 +279,13 @@ def _posterior_pass(
     """Leave-one-out posteriors of ``coords`` and the sums behind them,
     computed in class order.
 
-    Returns ``(order, points, den, underflow, posteriors, strips)``: the
-    stable argsort of the labels, the coordinates in that order, each
-    row's similarity mass, the rows whose mass is zero or subnormal,
-    listed in input order, the (n, k) posteriors, and the kept strips or
-    None; ``den`` and ``posteriors`` are in class order. Each row in
-    ``underflow`` is summed again from its whole row of shifted
+    Returns ``(order, points, bounds, den, underflow, posteriors,
+    strips)``: the stable argsort of the labels, the coordinates in that
+    order, class c's rows and columns in it, bounds[c]:bounds[c + 1], which
+    pass B reads too, each row's similarity mass, the rows whose mass is
+    zero or subnormal, in input order, the (n, k) posteriors, and the kept
+    strips or None; ``den`` and ``posteriors`` are in class order. Each
+    row in ``underflow`` is summed again from its whole row of shifted
     similarities, so its ``den`` is the shifted mass.
     With ``keep``, and when every band's strip fits in ``_SCRATCH``
     doubles together, each band writes its strip to its own view of one
@@ -302,7 +298,7 @@ def _posterior_pass(
     # the kernels load here, on the calling thread, before any band runs
     _distances()
     order = np.argsort(labels, kind="stable")
-    bounds = _class_bounds(labels, k)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
     points = coords[order]
     n = points.shape[0]
     # num[c, i]: row i's similarity mass in class c
@@ -337,7 +333,7 @@ def _posterior_pass(
         for c, a, b in _class_slices(bounds, 0, n):
             num[c, u] = sims[0, a:b].sum()
         den[u] = num[:, u].sum()
-    return order, points, den, underflow, np.ascontiguousarray((num / den).T), strips
+    return order, points, bounds, den, underflow, np.ascontiguousarray((num / den).T), strips
 
 
 def _objective_and_gradient(
@@ -360,7 +356,7 @@ def _objective_and_gradient(
     same bits. A call whose objective falls below ``floor`` drops the kept
     strips unused.
     """
-    order, points, den, underflow, posteriors, strips = _posterior_pass(
+    order, points, bounds, den, underflow, posteriors, strips = _posterior_pass(
         coords, labels, k, bandwidth, keep=True
     )
     n, d = points.shape
@@ -371,8 +367,6 @@ def _objective_and_gradient(
     objective = float(1.0 - _input_order(order, pstar).mean())
     if floor is not None and objective < floor:
         return objective, None
-    labels = labels[order]
-    bounds = _class_bounds(labels, k)
     tied = (posteriors == pstar[:, None]).sum(axis=1) > 1
 
     # C[i, j] = table[i, y_j], so W streams from this (n, K) table
@@ -402,9 +396,9 @@ def _objective_and_gradient(
             weights = _similarity_rows(points, lo, hi, bandwidth, out=scratch[1], start=lo)
         else:
             weights = strips[lo // _TILE]
-        # S (C + C^T), in pass A's strip where it was kept
+        # S (C + C^T), in pass A's strip where it was kept; S's own column is
+        # zero in every strip and C is finite, so W's is +-0 and adds nothing
         weights *= coefficients
-        np.fill_diagonal(weights, 0.0)
         np.einsum("ij,kj->ki", weights, basis[:, lo:], out=partial[:, lo:hi])
         np.einsum("ij,ki->kj", weights[:, hi - lo :], basis[:, lo:hi], out=partial[:, hi:])
 
@@ -414,8 +408,9 @@ def _objective_and_gradient(
     # W[m, u] from its shifted similarities
     row = np.empty((1, n))
     for u in underflow:
-        _similarity_rows(points, u, u + 1, bandwidth, out=row, shifted=True)
-        weights = table[u].take(labels) * row[0]
+        weights = _similarity_rows(points, u, u + 1, bandwidth, out=row, shifted=True)[0]
+        for c, a, b in _class_slices(bounds, 0, n):
+            weights[a:b] *= table[u, c]
         sums[:, u] += np.einsum("j,kj->k", weights, basis)
         sums += basis[:, u, None] * weights
     sums /= bandwidth * bandwidth
@@ -436,7 +431,7 @@ def estimate_posteriors(data: LabeledDataset, kernel: SimilarityKernel) -> Poste
     As the bandwidth goes to zero, row i tends to the one-hot label of
     its nearest neighbour.
     """
-    order, _, _, _, values, _ = _posterior_pass(
+    order, _, _, _, _, values, _ = _posterior_pass(
         data.points, data.labels, data.num_classes, kernel.bandwidth
     )
     return PosteriorMatrix(_input_order(order, values))

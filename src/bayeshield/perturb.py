@@ -199,7 +199,9 @@ def pga_maximize(
     step that lowers the estimate by more than MONOTONE_SLACK is
     discarded and retried at half the size from the same deltas and
     gradient; one still rejected after MAX_HALVINGS halvings keeps the
-    deltas and ends the ascent. Labels never change.
+    deltas and ends the ascent. A step whose product with the gradient
+    overflows float64 is rejected and halved the same way. Labels never
+    change.
 
     Each candidate, the start included, is scored by one call where
     similarity is taken: ``objective_and_gradient`` with the acceptance
@@ -226,11 +228,12 @@ def pga_maximize(
 
     def score(points: np.ndarray, floor: float, last: bool) -> float | None:
         """A candidate's estimate where similarity is taken, or None below
-        ``floor``. A kept candidate that another step follows releases the
-        spent gradient and installs its own, in the input space."""
+        ``floor`` or where a coordinate is not finite. A kept candidate
+        that another step follows releases the spent gradient and
+        installs its own, in the input space."""
         nonlocal gradients
         if not np.all(np.isfinite(points)):
-            raise ValueError("points contain non-finite values")
+            return None
         sample = data.with_points(points if embedding is None else embed_points(embedding, points))
         if last:
             value = estimate_bayes_error(sample, kernel).value
@@ -259,10 +262,13 @@ def pga_maximize(
         step = config.step_size
         floor = trace[-1] - MONOTONE_SLACK
         for halved in range(MAX_HALVINGS + 1):
-            np.multiply(gradients, step, out=candidate)
-            candidate += deltas
-            # the points are rewritten next, so they serve as scratch
-            _project_rows(candidate, constraint, points)
+            # a step whose product with the gradient overflows leaves
+            # non-finite points, which score rejects as a step too large
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(gradients, step, out=candidate)
+                candidate += deltas
+                # the points are rewritten next, so they serve as scratch
+                _project_rows(candidate, constraint, points)
             candidate[frozen_rows] = 0.0
             np.add(data.points, candidate, out=points)
             try:

@@ -153,6 +153,9 @@ def test_layer_validation():
         EmbeddingLayer(weight=[[1.0]], bias=[0.0], activation="sigmoid")
     with pytest.raises(ValueError, match="bias"):
         EmbeddingLayer(weight=[[1.0, 2.0]], bias=[0.0, 0.0], activation="identity")
+    message = "weight dimensions must be at least 1, got shape (0, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EmbeddingLayer(weight=np.zeros((0, 2)), bias=[], activation="tanh")
     with pytest.raises(ValueError, match="^embedding map needs at least one layer$"):
         EmbeddingMap(())
 
@@ -296,6 +299,8 @@ def test_load_rejects_bad_layer(tmp_path, capsys):
          "layer 0: bias shape (2,) does not match weight rows 1"),
         (json.dumps({"version": 1, "layers": [dict(identity, weight=[1.0, 2.0])]}),
          "layer 0: weight must be 2-d, got shape (2,)"),
+        (json.dumps({"version": 1, "layers": [dict(identity, weight=[[]], bias=[0.0])]}),
+         "layer 0: weight dimensions must be at least 1, got shape (1, 0)"),
         ('{"version": 1, "layers": [{"weight": [[NaN]], "bias": [0.0], '
          '"activation": "identity"}]}', "layer 0: layer parameters must be finite"),
     ]

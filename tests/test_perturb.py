@@ -676,6 +676,34 @@ def test_pga_frozen_rows_stay_zero_under_halved_steps(norm, radius, step, first_
     assert (reach > radius - 1e-9).any() == (step > 1.0)
 
 
+@pytest.mark.parametrize(
+    "norm, frozen, halvings",
+    [
+        # the largest gradient entry is about 24, so the product overflows
+        # until the step is halved to 1e308 / 16
+        ("l2", (), (4, 5, 5)),
+        ("l2", (0, 5, 9), (4, 4, 4)),
+        # the clamp takes an infinite product back onto the budget
+        ("linf", (), (0, MAX_HALVINGS + 1, MAX_HALVINGS + 1)),
+        ("linf", (0, 5, 9), (0, 0, 0)),
+    ],
+)
+def test_pga_step_whose_product_overflows_is_halved(norm, frozen, halvings):
+    rng = np.random.default_rng(0)
+    ds = LabeledDataset(rng.normal(size=(12, 2)) * 0.01, np.arange(12) % 2, 2)
+    c = PerturbationConstraint(norm_order=norm, radius=0.0003, frozen=frozenset(frozen))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pga_maximize(
+            ds, SimilarityKernel(bandwidth=0.003), c, PgaConfig(step_size=1e308, max_iterations=3)
+        )
+    assert result.halvings == halvings
+    assert_ascends(result.trace)
+    assert result.trace[1] > result.trace[0]
+    assert np.isfinite(result.deltas).all()
+    assert result.deltas[list(frozen)].tobytes() == np.zeros((len(frozen), 2)).tobytes()
+
+
 @pytest.mark.parametrize("iterations", [1, 5])
 def test_pga_stalled_step_keeps_deltas(monkeypatch, iterations):
     rng = np.random.default_rng(1)
