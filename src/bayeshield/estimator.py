@@ -18,9 +18,11 @@ Each pass runs in class order: pass A's stable sort of the labels
 permutes the coordinates once, and pass B reads its order and class
 bounds, so every class owns one contiguous slice of rows and of columns,
 empty for an unused class, and row i's own column is column i. A row's
-class mass is one sum over its slice, and sum_j W[i, j] x_j one dot per
-coordinate against a (d + 1, n) transpose of the sorted coordinates
-under a row of ones, whose dot gives sum_j W[i, j].
+class mass is one sum over its slice. sum_j W[i, j] x_j comes from BLAS
+products against the sorted coordinates after a column of ones, which
+gives sum_j W[i, j]; each product is small enough that OpenBLAS runs it
+on the calling thread alone, so its bits follow the BLAS build and the
+band width but not the BLAS thread count.
 Per-row results go back to input order once on the way out, before the
 mean and the tie scan, which depend on the order of the rows.
 
@@ -69,6 +71,18 @@ _SCRATCH = 1 << 20
 # calling thread alone; at n=300 a second worker made both passes
 # slower, at d=2 and at d=64, on 2 CPUs.
 _CHUNK_ELEMENTS = 65_536
+
+# Multiply-adds of one BLAS product in pass B: OpenBLAS runs a gemm on the
+# calling thread alone when m * n * k is at most SMP_THRESHOLD_MIN (65,536)
+# times GEMM_MULTITHREAD_THRESHOLD (4), and a product it splits among
+# threads may round differently, so every product is cut to this size.
+_BLAS_ONE_THREAD = 65_536 * 4
+
+# Columns of pass B's (n, d + 1) basis per product, so that a 64-row
+# band's row side sums at least 32 strip columns per piece: a piece of
+# all 3073 columns at d=3072 could sum only one, and that side then ran
+# about 25 times slower than in these blocks.
+_BLAS_COLUMNS = 128
 
 # Workers for the bands: the CPUs this process may run on, so that
 # `taskset` restricts a run. The NumPy and SciPy calls inside a band
@@ -142,27 +156,28 @@ class BayesErrorEstimate:
 
 def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     """Add every band's sums of a symmetric pairwise pass into ``sums``, a
-    zeroed (width, n) float64 array whose column i belongs to row i.
+    zeroed (n, width) float64 array whose row i belongs to row i.
 
     For each band [lo, hi) of ``_TILE`` rows the runner calls
     ``fill((lo, hi), scratch, partial)``. ``scratch`` holds ``arrays``
     (hi - lo, n - lo) arrays, room for the band's strip against columns
     lo:n; ``arrays`` is 0 for a fill that writes its strip to a kept
-    buffer of the caller's. The fill writes the strip's row sums to
-    ``partial[:, lo:hi]`` and its column sums over the band's rows to
-    ``partial[:, hi:]``, where ``partial`` is a (width, n) array that is
-    zero from column lo on when the band starts. Once every earlier band
-    is in ``sums`` the runner adds ``partial[:, lo:]`` to
-    ``sums[:, lo:]`` in one addition. So each column of ``sums`` adds the
-    earlier bands' column sums in band order, then its own band's row
-    sums, whichever worker computed them. The arrays handed to a fill are
-    C-contiguous.
+    buffer of the caller's. ``partial`` is an (n + _TILE, width) array
+    whose rows lo:n are zero when the band starts. The fill writes the
+    strip's row sums to ``partial[lo:hi]`` and its column sums over the
+    band's rows to ``partial[hi:n]``; the last ``_TILE`` rows are the
+    fill's own scratch. Once every earlier band is in ``sums`` the runner
+    adds ``partial[lo:n]`` to ``sums[lo:]`` in one contiguous addition.
+    So each row of ``sums`` adds the earlier bands' column sums in band
+    order, then its own band's row sums, whichever worker computed them.
+    The arrays handed to a fill are C-contiguous.
 
-    A worker's scratch is ``(arrays * _TILE + width) * n`` doubles, so
-    the pass runs as many workers as fit in an eighth of n * n doubles,
-    or in ``_SCRATCH`` where that is larger, and at least one, beside any
-    kept buffer, which has a ``_SCRATCH`` of its own; never more than
-    ``_WORKERS``, than there are bands, or than one per
+    A worker's scratch is ``(arrays * _TILE + width) * n`` doubles, and
+    ``_TILE * width`` more for the fill's own rows, so the pass runs as
+    many workers as fit in an eighth of n * n doubles, or in
+    ``_SCRATCH`` where that is larger, and at least one, beside their
+    own rows and any kept buffer, which has a ``_SCRATCH`` of its own;
+    never more than ``_WORKERS``, than there are bands, or than one per
     ``_CHUNK_ELEMENTS`` entries of the n x n pairs. The bands are dealt
     to the workers: worker w takes bands w, w + workers, w + 2 * workers
     and so on. The calling thread allocates every worker's scratch and
@@ -177,7 +192,7 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     has finished before this returns, or raises the error of the
     lowest-numbered worker that failed.
     """
-    width, n = sums.shape
+    n, width = sums.shape
     bands = -(-n // _TILE)
     budget = max(n * n // 8, _SCRATCH) // ((arrays * _TILE + width) * n)
     workers = max(1, min(_WORKERS, bands, n * n // _CHUNK_ELEMENTS, budget))
@@ -185,7 +200,7 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
     added = 0  # sums holds every band that ends at or before this row
     failed = False
     strips = np.empty((workers, arrays * _TILE * n))
-    partials = np.empty((workers, width, n))
+    partials = np.empty((workers, n + _TILE, width))
 
     def run(w) -> None:
         nonlocal added, failed
@@ -195,13 +210,13 @@ def _run_bands(fill, sums: np.ndarray, arrays: int) -> None:
                 hi = min(lo + _TILE, n)
                 size = (hi - lo) * (n - lo)
                 scratch = strips[w, : arrays * size].reshape(arrays, hi - lo, n - lo)
-                partial[:, lo:] = 0.0
+                partial[lo:n] = 0.0
                 fill((lo, hi), scratch, partial)
                 with turn:
                     turn.wait_for(lambda: added == lo or failed)
                     if added != lo:
                         return
-                    sums[:, lo:] += partial[:, lo:]
+                    sums[lo:] += partial[lo:n]
                     added = hi
                     turn.notify_all()
         except BaseException:
@@ -301,8 +316,8 @@ def _posterior_pass(
     bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k)))).tolist()
     points = coords[order]
     n = points.shape[0]
-    # num[c, i]: row i's similarity mass in class c
-    num = np.zeros((k, n))
+    # num[i, c]: row i's similarity mass in class c
+    num = np.zeros((n, k))
     # a band's strip is its rows against columns lo:n
     bands = range(0, n, _TILE)
     sizes = [(min(lo + _TILE, n) - lo) * (n - lo) for lo in bands]
@@ -316,12 +331,16 @@ def _posterior_pass(
         out = scratch[0] if strips is None else strips[lo // _TILE]
         sims = _similarity_rows(points, lo, hi, bandwidth, out=out, start=lo)
         for c, a, b in _class_slices(bounds, lo, n):
-            sims[:, a - lo : b - lo].sum(axis=1, out=partial[c, lo:hi])
+            sims[:, a - lo : b - lo].sum(axis=1, out=partial[lo:hi, c])
         for c, a, b in _class_slices(bounds, lo, hi):
-            sims[a - lo : b - lo, hi - lo :].sum(axis=0, out=partial[c, hi:])
+            sims[a - lo : b - lo, hi - lo :].sum(axis=0, out=partial[hi:n, c])
 
     _run_bands(fill, num, arrays=1 if strips is None else 0)
-    den = num.sum(axis=0)
+    # the classes add in order, one column at a time: a row's sum over its
+    # K contiguous entries would take numpy's 8-wide pairwise order
+    den = num[:, 0].copy()
+    for c in range(1, k):
+        den += num[:, c]
     underflow = np.flatnonzero(den < np.finfo(np.float64).tiny)
     underflow = underflow[np.argsort(order[underflow])]
     row = np.empty((1, n))
@@ -331,9 +350,9 @@ def _posterior_pass(
         except ValueError as exc:
             raise ValueError(f"row {order[u]}: {exc}") from None
         for c, a, b in _class_slices(bounds, 0, n):
-            num[c, u] = sims[0, a:b].sum()
-        den[u] = num[:, u].sum()
-    return order, points, bounds, den, underflow, np.ascontiguousarray((num / den).T), strips
+            num[u, c] = sims[0, a:b].sum()
+        den[u] = num[u].sum()
+    return order, points, bounds, den, underflow, num / den[:, None], strips
 
 
 def _objective_and_gradient(
@@ -373,13 +392,13 @@ def _objective_and_gradient(
     selected = np.arange(k) == cstar[:, None]
     table = (selected - pstar[:, None]) / den[:, None]
     table_t = np.ascontiguousarray(table.T)
-    # sums[:, i] = sum_j W[i, j] basis[:, j], summed from sigma^2 W: with a
-    # row of ones over the transposed coordinates, one einsum gives
-    # sum_j W[i, j] in row 0 and sum_j W[i, j] x_j in the rest
-    basis = np.empty((d + 1, n))
-    basis[0] = 1.0
-    basis[1:] = points.T
-    sums = np.zeros((d + 1, n))
+    # sums[i] = sum_j W[i, j] basis[j], summed from sigma^2 W: with a column
+    # of ones before the coordinates, one product gives sum_j W[i, j] in
+    # column 0 and sum_j W[i, j] x_j in the rest
+    basis = np.empty((n, d + 1))
+    basis[:, 0] = 1.0
+    basis[:, 1:] = points
+    sums = np.zeros((n, d + 1))
 
     def fill(band, scratch, partial) -> None:
         lo, hi = band
@@ -399,8 +418,21 @@ def _objective_and_gradient(
         # S (C + C^T), in pass A's strip where it was kept; S's own column is
         # zero in every strip and C is finite, so W's is +-0 and adds nothing
         weights *= coefficients
-        np.einsum("ij,kj->ki", weights, basis[:, lo:], out=partial[:, lo:hi])
-        np.einsum("ij,ki->kj", weights[:, hi - lo :], basis[:, lo:hi], out=partial[:, hi:])
+        # BLAS products of at most _BLAS_ONE_THREAD multiply-adds each, per
+        # block of _BLAS_COLUMNS basis columns: the row side cuts its sums
+        # over columns lo:n into pieces and adds them in order, the column
+        # side cuts its output rows and splits no sum
+        for start in range(0, d + 1, _BLAS_COLUMNS):
+            cols = slice(start, min(start + _BLAS_COLUMNS, d + 1))
+            span = _BLAS_ONE_THREAD // ((cols.stop - start) * (hi - lo))
+            rows, piece = partial[lo:hi, cols], partial[n : n + hi - lo, cols]
+            np.matmul(weights[:, :span], basis[lo : lo + span, cols], out=rows)
+            for j in range(span, n - lo, span):
+                np.matmul(weights[:, j : j + span], basis[lo + j : lo + j + span, cols], out=piece)
+                rows += piece
+            for j in range(hi - lo, n - lo, span):
+                out = partial[lo + j : min(lo + j + span, n), cols]
+                np.matmul(weights[:, j : j + span].T, basis[lo:hi, cols], out=out)
 
     _run_bands(fill, sums, arrays=2 if strips is None else 1)
     # an underflowing row u streamed its own terms below float64's normal
@@ -411,15 +443,15 @@ def _objective_and_gradient(
         weights = _similarity_rows(points, u, u + 1, bandwidth, out=row, shifted=True)[0]
         for c, a, b in _class_slices(bounds, 0, n):
             weights[a:b] *= table[u, c]
-        sums[:, u] += np.einsum("j,kj->k", weights, basis)
-        sums += basis[:, u, None] * weights
+        sums[u] += np.einsum("j,jk->k", weights, basis)
+        sums += weights[:, None] * basis[u]
     sums /= bandwidth * bandwidth
     # (wsum * x - mixed) / n, formed in place in the spent basis
-    gradients_t = basis[1:]
-    gradients_t *= sums[0]
-    gradients_t -= sums[1:]
-    gradients_t /= n
-    gradients = _input_order(order, gradients_t.T)
+    gradients = basis[:, 1:]
+    gradients *= sums[:, :1]
+    gradients -= sums[:, 1:]
+    gradients /= n
+    gradients = _input_order(order, gradients)
     return objective, (np.flatnonzero(_input_order(order, tied)), gradients)
 
 

@@ -508,15 +508,15 @@ def test_worker_error_propagates_after_every_group_finished(monkeypatch, workers
         # caller, done with its quick bands, collects the error of worker 1
         if lo == 20:
             time.sleep(0.05)
-        partial[0, lo:hi] = lo + 1
+        partial[lo:hi, 0] = lo + 1
         filled.append(lo)
 
-    sums = np.zeros((1, 60))
+    sums = np.zeros((60, 1))
     with pytest.raises(RuntimeError, match="fill failed"):
         _run_bands(fill, sums, arrays=1)
     assert sorted(filled) == ([0, 20] if workers == 2 else [0, 20, 30])
     assert not any(thread.is_alive() for thread in threads - {threading.current_thread()})
-    assert sums.tolist() == [[1.0] * 10 + [0.0] * 50]
+    assert sums[:, 0].tolist() == [1.0] * 10 + [0.0] * 50
 
 
 def run_with_timeout(call, seconds=30.0):

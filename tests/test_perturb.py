@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -66,19 +70,19 @@ def far_row_dataset(seed, n=20, d=2):
 
 
 def banded_sums(n, width, rows, columns):
-    """The (width, n) sums of a symmetric pairwise pass in the operation
+    """The (n, width) sums of a symmetric pairwise pass in the operation
     order of the banded runner. Band [lo, hi) takes its columns lo:n at
-    once: rows(lo, hi) gives its rows' (width, hi - lo) sums, and
-    columns(lo, hi) the (width, n - hi) column sums over its rows of
+    once: rows(lo, hi) gives its rows' (hi - lo, width) sums, and
+    columns(lo, hi) the (n - hi, width) column sums over its rows of
     columns hi:n. Each band's sums then add to the total in band order."""
     tile = estimator._TILE
-    sums = np.zeros((width, n))
+    sums = np.zeros((n, width))
     for lo in range(0, n, tile):
         hi = min(lo + tile, n)
-        partial = np.zeros((width, n))
-        partial[:, lo:hi] = rows(lo, hi)
-        partial[:, hi:] = columns(lo, hi)
-        sums[:, lo:] += partial[:, lo:]
+        partial = np.zeros((n, width))
+        partial[lo:hi] = rows(lo, hi)
+        partial[hi:] = columns(lo, hi)
+        sums[lo:] += partial[lo:]
     return sums
 
 
@@ -86,10 +90,13 @@ def dense_gradient(ds, sigma):
     """Objective and gradient from the dense n x n weight matrix
     W = (C + C^T) * S / sigma^2 of the objective_and_gradient docstring,
     in the operation order of the banded pass: rows and columns in class
-    order, each class's mass summed over its own columns, and
-    sum_j W[i, j] x_j taken by einsum against the transposed coordinates
-    under a row of ones, which gives sum_j W[i, j], from sigma^2 W and
-    then divided by sigma^2. A row whose mass is
+    order, each class's mass summed over its own columns and the classes
+    added in order, and sum_j W[i, j] x_j taken against the coordinates
+    after a column of ones, which gives sum_j W[i, j], from sigma^2 W and
+    then divided by sigma^2. Those sums are the pass's matmul pieces of
+    at most _BLAS_ONE_THREAD multiply-adds per block of _BLAS_COLUMNS
+    basis columns: a band's row sums add their pieces over columns lo:n
+    in order, and its column sums stack pieces of whole sums. A row whose mass is
     below the smallest normal float64 takes its posterior and its own
     terms of W from its similarities divided by its nearest
     neighbour's."""
@@ -107,38 +114,59 @@ def dense_gradient(ds, sigma):
     num = banded_sums(
         n,
         k,
-        lambda lo, hi: np.array([sims[lo:hi, max(a, lo) : b].sum(axis=1) for a, b in slices]),
+        lambda lo, hi: np.array([sims[lo:hi, max(a, lo) : b].sum(axis=1) for a, b in slices]).T,
         lambda lo, hi: np.array(
             [sims[max(a, lo) : min(b, hi), hi:].sum(axis=0) for a, b in slices]
-        ),
+        ).T,
     )
-    den = num.sum(axis=0)
+    den = np.zeros(n)
+    for column in num.T:
+        den += column
     under = np.flatnonzero(den < np.finfo(np.float64).tiny)
     under = under[np.argsort(order[under])]
     for u in under:
-        num[:, u] = [shifted[u, a:b].sum() for a, b in slices]
-        den[u] = num[:, u].sum()
-    posteriors = (num / den).T
+        num[u] = [shifted[u, a:b].sum() for a, b in slices]
+        den[u] = num[u].sum()
+    posteriors = num / den[:, None]
     cstar = posteriors.argmax(axis=1)
     pstar = posteriors[np.arange(n), cstar]
     selected = (y[None, :] == cstar[:, None]).astype(np.float64)
     coeff = (selected - pstar[:, None]) / den[:, None]
     weights = (coeff + coeff.T) * sims
     np.fill_diagonal(weights, 0.0)
-    basis = np.ascontiguousarray(np.vstack([np.ones(n), x.T]))
-    sums = banded_sums(
-        n,
-        d + 1,
-        lambda lo, hi: np.einsum("ij,kj->ki", weights[lo:hi, lo:], basis[:, lo:]),
-        lambda lo, hi: np.einsum("ij,ki->kj", weights[lo:hi, hi:], basis[:, lo:hi]),
-    )
+    basis = np.hstack([np.ones((n, 1)), x])
+
+    def blocks(band):
+        # (c, e, span): basis columns c:e and the strip columns per piece
+        width = estimator._BLAS_COLUMNS
+        for c in range(0, d + 1, width):
+            e = min(c + width, d + 1)
+            yield c, e, estimator._BLAS_ONE_THREAD // ((e - c) * band)
+
+    def rows(lo, hi):
+        total = np.empty((hi - lo, d + 1))
+        for c, e, span in blocks(hi - lo):
+            total[:, c:e] = weights[lo:hi, lo : lo + span] @ basis[lo : lo + span, c:e]
+            for a in range(lo + span, n, span):
+                total[:, c:e] += weights[lo:hi, a : a + span] @ basis[a : a + span, c:e]
+        return total
+
+    def columns(lo, hi):
+        total = np.empty((n - hi, d + 1))
+        for c, e, span in blocks(hi - lo):
+            for a in range(hi, n, span):
+                piece = weights[lo:hi, a : a + span].T @ basis[lo:hi, c:e]
+                total[a - hi : a - hi + span, c:e] = piece
+        return total
+
+    sums = banded_sums(n, d + 1, rows, columns)
     for u in under:
         terms = coeff[u] * shifted[u]
-        sums[:, u] += np.einsum("j,kj->k", terms, basis)
-        sums += basis[:, u, None] * terms
+        sums[u] += np.einsum("j,jk->k", terms, basis)
+        sums += terms[:, None] * basis[u]
     sums /= sigma * sigma
     gradients, objectives = np.empty((n, d)), np.empty(n)
-    gradients[order] = ((basis[1:] * sums[0] - sums[1:]) / n).T
+    gradients[order] = (basis[:, 1:] * sums[:, :1] - sums[:, 1:]) / n
     objectives[order] = pstar
     return 1.0 - objectives.mean(), gradients
 
@@ -288,11 +316,49 @@ def test_gradient_threads_bitwise_identical(monkeypatch, pools):
                 assert set(pools) == {1}
 
 
+BLAS_THREADS_GRADIENTS = """
+import hashlib
+import numpy as np
+from bayeshield.core import LabeledDataset, SimilarityKernel
+from bayeshield.estimator import median_heuristic_bandwidth
+from bayeshield.perturb import objective_and_gradient
+
+for n, d, k in ((1000, 64, 10), (1025, 300, 3)):
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, k, n)
+    ds = LabeledDataset(rng.normal(0.0, 0.7, (k, d))[labels] + rng.normal(size=(n, d)), labels, k)
+    kernel = SimilarityKernel(bandwidth=median_heuristic_bandwidth(ds))
+    print(hashlib.sha256(objective_and_gradient(ds, kernel).gradients.tobytes()).hexdigest())
+"""
+
+
+def test_gradient_bits_do_not_follow_blas_threads():
+    # OpenBLAS reads its thread count at load, so each count takes its own
+    # process. At 1000 x 64, K=10, one unpieced product per band side
+    # rounds differently on 1 and 2 threads; 1025 rows end in a one-row
+    # band, and at d=300 some column-side pieces have one row
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_GRADIENTS],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
+
+
 def test_gradient_bits_do_not_follow_the_worker_count_at_d1(monkeypatch, pools):
-    # at d=1 an einsum over more than 8192 columns sums in buffer-sized
-    # blocks, split by how many rows it takes; every einsum of the pass
-    # has the shape of a band's strip, which depends on n and the band
-    # alone, not on the worker that computes it
+    # at d=1 pass B cuts a band's 9000-column sums into products of 2048
+    # columns; every product of the pass has a shape set by n and the
+    # band alone, not by the worker that computes it
     ds = random_dataset(20, n=9000, d=1, k=3)
     kernel = SimilarityKernel(bandwidth=0.5)
     monkeypatch.setattr(estimator, "_WORKERS", 1)
@@ -327,11 +393,18 @@ def test_gradient_matches_dense_oracle(monkeypatch):
     # 16-row bands give every case several bands; at sigma = 0.7, sigma^2
     # is no power of two, so dividing by it rounds. A chunk of 1 lets
     # _WORKERS set the worker count. Pass B weighs pass A's kept strips,
-    # and under a scratch budget of 0 computes them again
+    # and under a scratch budget of 0 computes them again. The last setting
+    # cuts pass B's products to 256 multiply-adds and 2 basis columns, so
+    # a band's row sums add up to 25 pieces per block and the 3 columns of
+    # ones and coordinates split into two blocks
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 1)
     scratch = estimator._SCRATCH
-    for tile in (estimator._TILE, 16):
+    settings = [(estimator._TILE, estimator._BLAS_ONE_THREAD, estimator._BLAS_COLUMNS)]
+    settings += [(16, estimator._BLAS_ONE_THREAD, estimator._BLAS_COLUMNS), (16, 256, 2)]
+    for tile, cap, columns in settings:
         monkeypatch.setattr(estimator, "_TILE", tile)
+        monkeypatch.setattr(estimator, "_BLAS_ONE_THREAD", cap)
+        monkeypatch.setattr(estimator, "_BLAS_COLUMNS", columns)
         for ds, sigma in itertools.product(cases, (1.0, 0.7)):
             objective, gradients = dense_gradient(ds, sigma)
             bits = set()
